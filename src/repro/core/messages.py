@@ -10,7 +10,7 @@ advantage over vector timestamps (Section 2, Section 4.4).
 """
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, ClassVar, List, Optional, Tuple
 
 #: Serialized bytes for fixed message header fields (ids, group, group seq).
 HEADER_BYTES = 16
@@ -28,6 +28,13 @@ class AtomId:
     Overlap atoms are named by the (sorted) pair of groups whose double
     overlap they sequence; ingress-only atoms — created for groups without
     any double overlap — are named by their single group.
+
+    Atoms key every hot dict and set (chain positions, counters, hold-back
+    state), so the hash is computed once at construction.  It equals the
+    dataclass-generated ``hash((kind, groups))`` — set and dict iteration
+    orders are those of a plain frozen dataclass — and is not a field:
+    ``fields()``, ``repr``, ordering and equality see only ``kind`` and
+    ``groups``.
     """
 
     kind: str
@@ -35,6 +42,21 @@ class AtomId:
 
     OVERLAP = "overlap"
     INGRESS = "ingress"
+
+    #: Per instance, set by ``__post_init__``; annotated ``ClassVar`` only
+    #: so that ``dataclass`` does not make a field of it.
+    _hash: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.groups)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Rebuild through ``__init__``: ``str`` hashes differ between
+        # processes, so a pickled ``_hash`` would be stale on arrival.
+        return (type(self), (self.kind, self.groups))
 
     @classmethod
     def overlap(cls, g: int, h: int) -> "AtomId":

@@ -241,19 +241,18 @@ def assign_machines(
     host_router:
         Access router of each host id.
     topology, routing:
-        The underlay, for neighbor lookups.
+        The underlay: router count and neighbor lookups.
     rng:
         Random source; fresh ``Random(0)`` when omitted.
     """
     rng = rng or random.Random(0)
     placement = Placement(nodes)
-    adjacency = topology.adjacency()
 
     def neighbor_machine(machine: int) -> int:
-        neighbors = [v for v, _ in adjacency[machine]]
+        neighbors = routing.neighbors(machine)
         if not neighbors:
             return machine
-        return rng.choice(sorted(neighbors))
+        return rng.choice(neighbors)
 
     def random_member_router(group: int) -> int:
         members = sorted(graph.members(group))

@@ -39,7 +39,7 @@ derived graph/certificate that fails its proof.
 """
 
 import logging
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple, Optional
 
 from repro.core.messages import AtomId
 from repro.core.protocol import OrderingFabric
@@ -111,11 +111,6 @@ def atom_counters(fabric: OrderingFabric) -> Dict[AtomId, int]:
         for atom_id, runtime in process.atom_runtimes.items():
             counters[atom_id] = runtime.seq_counter
     return counters
-
-
-# Backwards-compatible aliases (pre-online API).
-_group_local_counters = group_local_counters
-_atom_counters = atom_counters
 
 
 def _undelivered(fabric: OrderingFabric) -> Dict[int, int]:
@@ -203,9 +198,29 @@ def _drain_fences(
     )
 
 
+class _MembershipDiff(NamedTuple):
+    """Group ids that differ between two epochs' snapshots, each sorted."""
+
+    removed: List[int]
+    #: same id, different member set: remove-then-add (Section 3.2)
+    changed: List[int]
+    added: List[int]
+
+
+def _membership_diff(
+    old: Dict[int, FrozenSet[int]], new: Dict[int, FrozenSet[int]]
+) -> _MembershipDiff:
+    return _MembershipDiff(
+        removed=sorted(g for g in old if g not in new),
+        changed=sorted(g for g in new if g in old and old[g] != new[g]),
+        added=sorted(g for g in new if g not in old),
+    )
+
+
 def _derive_graph(
     fabric: OrderingFabric,
-    new_snapshot: Dict[int, "frozenset[int]"],
+    new_snapshot: Dict[int, FrozenSet[int]],
+    diff: _MembershipDiff,
     lazy: bool,
     compact: bool,
     stats: Dict[str, Any],
@@ -214,8 +229,8 @@ def _derive_graph(
 ) -> "SequencingGraph":
     """Incrementally derive and re-prove the next epoch's graph.
 
-    The old graph is cloned and diffed against the new snapshot (Section
-    3.2: a changed member set is remove-then-add under the same id), then
+    The old graph is cloned and ``diff`` applied to it (Section 3.2: a
+    changed member set is remove-then-add under the same id), then
     re-proved by the independent GV200–GV205 verifier instead of being
     trusted.  A failed proof retries after a bounded virtual-time backoff
     — the repair path for a second fault racing the derivation — and
@@ -226,23 +241,13 @@ def _derive_graph(
     attempts = max(1, repair_attempts)
     last: List[Any] = []
     for attempt in range(attempts):
-        old_snapshot = {
-            g: fabric.graph.members(g) for g in fabric.graph.groups()
-        }
         graph = fabric.graph.clone()
-        removed = [g for g in old_snapshot if g not in new_snapshot]
-        added = [g for g in new_snapshot if g not in old_snapshot]
-        changed = [
-            g
-            for g in new_snapshot
-            if g in old_snapshot and old_snapshot[g] != new_snapshot[g]
-        ]
-        for group in sorted(removed):
+        for group in diff.removed:
             graph.remove_group(group, lazy=lazy)
-        for group in sorted(changed):
+        for group in diff.changed:
             graph.remove_group(group, lazy=lazy)
             graph.add_group(group, new_snapshot[group])
-        for group in sorted(added):
+        for group in diff.added:
             graph.add_group(group, new_snapshot[group])
         if compact:
             graph.compact()
@@ -252,9 +257,9 @@ def _derive_graph(
             logger.info(
                 "epoch switch: %d removed, %d changed, %d added groups; "
                 "%d atoms (%d retired)",
-                len(removed),
-                len(changed),
-                len(added),
+                len(diff.removed),
+                len(diff.changed),
+                len(diff.added),
                 len(graph.atoms),
                 len(graph.retired),
             )
@@ -354,20 +359,17 @@ def reconfigure(
 
     new_snapshot = membership.snapshot()
     old_snapshot = {g: fabric.graph.members(g) for g in fabric.graph.groups()}
+    diff = _membership_diff(old_snapshot, new_snapshot)
     graph = _derive_graph(
         fabric,
         new_snapshot,
+        diff,
         lazy,
         compact,
         stats,
         repair_attempts,
         repair_backoff,
     )
-    changed = {
-        g
-        for g in new_snapshot
-        if g in old_snapshot and old_snapshot[g] != new_snapshot[g]
-    }
 
     next_fabric = OrderingFabric(
         membership,
@@ -388,9 +390,7 @@ def reconfigure(
         raise SimulationError("fresh fabric unexpectedly executed events")
 
     # --- carry sequence spaces forward ---------------------------------
-    surviving_groups = {
-        g for g in new_snapshot if g in old_snapshot and g not in changed
-    }
+    surviving_groups = set(new_snapshot).difference(diff.added, diff.changed)
     old_group_counters = {
         g: v
         for g, v in group_local_counters(fabric).items()

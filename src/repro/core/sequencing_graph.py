@@ -100,6 +100,52 @@ def pass_through_cost(
     return cost
 
 
+def _best_slot(chain: Sequence[AtomId], atom: AtomId) -> int:
+    """Slot at which inserting ``atom`` adds the fewest pass-through hops.
+
+    Slot ``p`` puts the atom before ``chain[p]``; slot ``len(chain)``
+    appends.  The result is the first minimum, in ascending ``p``, of
+    :func:`pass_through_cost` over the ``len(chain) + 1`` candidate
+    chains, found in O(len(chain) + groups) without building any of them.
+    One pass gives every group its extent ``[lo, hi]`` on the chain
+    (retired placeholders count: they still occupy a position).  Every
+    candidate has the same cost up to a per-slot term, and that term is
+    exact integer arithmetic:
+
+    * a group ``atom`` does not sequence pays one more pass-through hop
+      exactly when the slot is strictly inside its extent,
+      ``lo < p <= hi`` — summed over groups with a difference array;
+    * a group ``atom`` sequences has its extent stretched to reach the
+      slot: ``lo - p`` more hops before it, ``p - hi - 1`` after it, none
+      inside; a group not yet on the chain costs nothing anywhere.
+    """
+    n = len(chain)
+    lo: Dict[int, int] = {}
+    hi: Dict[int, int] = {}
+    for index, placed in enumerate(chain):
+        for g in placed.groups:
+            lo.setdefault(g, index)
+            hi[g] = index
+    crossing = [0] * (n + 1)
+    for g, first in lo.items():
+        if g not in atom.groups:
+            crossing[first + 1] += 1
+            crossing[hi[g] + 1] -= 1
+    own = [(lo[g], hi[g]) for g in atom.groups if g in lo]
+    costs: List[int] = []
+    crossed = 0
+    for slot in range(n + 1):
+        crossed += crossing[slot]
+        cost = crossed
+        for first, last in own:
+            if slot <= first:
+                cost += first - slot
+            elif slot > last:
+                cost += slot - last - 1
+        costs.append(cost)
+    return costs.index(min(costs))
+
+
 def _greedy_order_items(items: Dict[object, FrozenSet[int]]) -> List[object]:
     """Order items (atoms or co-location blocks) by group affinity.
 
@@ -367,14 +413,6 @@ class SequencingGraph:
                     result.append(atom)
         return result
 
-    def chain_of_group(self, group: int) -> Optional[int]:
-        """Index of the chain containing ``group``'s atoms, or ``None``."""
-        for index, chain in enumerate(self.chains):
-            for atom in chain:
-                if atom.sequences_group(group) and atom not in self.retired:
-                    return index
-        return None
-
     def group_path(self, group: int) -> List[AtomId]:
         """Full sequence of atoms a message to ``group`` traverses.
 
@@ -384,16 +422,16 @@ class SequencingGraph:
         """
         if group not in self._group_members:
             raise KeyError(f"unknown group {group}")
-        chain_index = self.chain_of_group(group)
-        if chain_index is None:
-            return [self._ingress_only[group]]
-        chain = self.chains[chain_index]
-        positions = [
-            i
-            for i, atom in enumerate(chain)
-            if atom.sequences_group(group) and atom not in self.retired
-        ]
-        return chain[positions[0] : positions[-1] + 1]
+        for chain in self.chains:
+            first = last = -1
+            for index, atom in enumerate(chain):
+                if group in atom.groups and atom not in self.retired:
+                    if first < 0:
+                        first = index
+                    last = index
+            if first >= 0:
+                return chain[first : last + 1]
+        return [self._ingress_only[group]]
 
     def ingress_atom(self, group: int) -> AtomId:
         """The atom that assigns ``group``'s group-local sequence numbers.
@@ -617,45 +655,21 @@ class SequencingGraph:
         partner_groups = {other for atom in new_atoms for other in atom.groups} - {
             group
         }
-        touched = sorted(
-            {
-                index
-                for index, chain in enumerate(self.chains)
-                for atom in chain
-                if any(atom.sequences_group(g) for g in partner_groups)
-            }
-        )
         merged: List[AtomId] = []
-        for index in touched:
-            merged.extend(self.chains[index])
-        self.chains = [
-            chain for index, chain in enumerate(self.chains) if index not in touched
-        ]
-        atoms_by_group = self._atoms_by_group(merged + new_atoms)
+        untouched: List[List[AtomId]] = []
+        for chain in self.chains:
+            if any(not partner_groups.isdisjoint(atom.groups) for atom in chain):
+                merged.extend(chain)
+            else:
+                untouched.append(chain)
+        # One exact O(chain + groups) slot search per new atom; siblings
+        # still to be inserted are not on the chain yet and so, as under
+        # pass_through_cost, weigh nothing.
         for atom in sorted(new_atoms):
-            merged = self._best_insertion(merged, atom, atoms_by_group)
-        self.chains.append(merged)
+            merged.insert(_best_slot(merged, atom), atom)
+        untouched.append(merged)
+        self.chains = untouched
         return new_atoms
-
-    def _best_insertion(
-        self,
-        chain: List[AtomId],
-        atom: AtomId,
-        atoms_by_group: Dict[int, List[AtomId]],
-    ) -> List[AtomId]:
-        """Insert ``atom`` at the position minimizing pass-through cost."""
-        if not chain:
-            return [atom]
-        best_chain: Optional[List[AtomId]] = None
-        best_cost = None
-        for position in range(len(chain) + 1):
-            candidate = chain[:position] + [atom] + chain[position:]
-            cost = pass_through_cost(candidate, atoms_by_group)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_chain = candidate
-        assert best_chain is not None  # len(chain) + 1 >= 1 candidates
-        return best_chain
 
     def remove_group(self, group: int, lazy: bool = True) -> List[AtomId]:
         """Remove a group; retire or splice out its atoms.

@@ -107,14 +107,6 @@ class Topology:
     transit_nodes: List[int] = field(default_factory=list)
     stub_of: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
-    def adjacency(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Adjacency lists ``node -> [(neighbor, delay), ...]``."""
-        adj: Dict[int, List[Tuple[int, float]]] = {u: [] for u in range(self.n_nodes)}
-        for u, v, d in self.edges:
-            adj[u].append((v, d))
-            adj[v].append((u, d))
-        return adj
-
     def stub_routers(self) -> List[int]:
         """All non-transit routers."""
         return [u for u in range(self.n_nodes) if u in self.stub_of]

@@ -45,6 +45,17 @@ class RoutingTable:
         """Number of routers in the underlying topology."""
         return self.topology.n_nodes
 
+    def neighbors(self, router: int) -> List[int]:
+        """Routers one link away from ``router``, ascending.
+
+        Read off the sparse matrix this table already holds, so callers
+        that need a handful of neighbor sets (machine assignment) do not
+        build an adjacency dict over every router.
+        """
+        indptr = self._graph.indptr
+        row = self._graph.indices[indptr[router] : indptr[router + 1]]
+        return sorted(row.tolist())
+
     def _run_dijkstra(self, src: int) -> None:
         dist, pred = dijkstra(
             self._graph, directed=False, indices=src, return_predecessors=True

@@ -47,6 +47,19 @@ def membership_triangle():
     return membership
 
 
+def golden_snapshot():
+    """Twelve overlapping groups over 32 hosts: one 49-atom cluster.
+
+    The fixed input of the golden tests (certificate bytes, machines,
+    cross-epoch digest) that pin fixed-seed behaviour to the commit the
+    values were recorded on.
+    """
+    rng = random.Random(7)
+    return {
+        g: frozenset(rng.sample(range(32), rng.randint(4, 12))) for g in range(12)
+    }
+
+
 def make_fabric(env, membership, **kwargs):
     """Build an OrderingFabric on a shared environment (helper)."""
     return env.build_fabric(membership, **kwargs)

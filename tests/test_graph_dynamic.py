@@ -79,6 +79,21 @@ def test_add_group_merges_clusters():
     assert len(graph.chains) == 1
 
 
+def test_add_group_never_costs_whole_candidate_chains(monkeypatch):
+    # 15 groups sharing two members: one cluster of 105 atoms.  Picking a
+    # slot must not fall back to costing every candidate chain.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("add_group called pass_through_cost")
+
+    graph = build({g: {0, 1, 10 + g} for g in range(15)})
+    assert [len(chain) for chain in graph.chains] == [105]
+    monkeypatch.setattr("repro.core.sequencing_graph.pass_through_cost", forbidden)
+    created = graph.add_group(99, {0, 1})
+    assert len(created) == 15
+    assert [len(chain) for chain in graph.chains] == [120]
+    graph.validate()
+
+
 def test_add_group_preserves_existing_relative_order():
     rng = random.Random(2)
     snapshot = {g: set(rng.sample(range(24), 8)) for g in range(6)}

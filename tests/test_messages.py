@@ -1,5 +1,11 @@
 """Unit tests for atom ids, stamps, and messages."""
 
+import copy
+import dataclasses
+import hashlib
+import json
+import pickle
+
 import pytest
 
 from repro.core.messages import (
@@ -10,6 +16,7 @@ from repro.core.messages import (
     Stamp,
     vector_timestamp_bytes,
 )
+from tests.conftest import golden_snapshot
 
 # ---------------------------------------------------------------------------
 # AtomId
@@ -48,6 +55,51 @@ def test_atom_ids_hashable_and_ordered():
     atoms = {AtomId.overlap(1, 2), AtomId.overlap(2, 1), AtomId.ingress(1)}
     assert len(atoms) == 2
     assert sorted([AtomId.overlap(3, 4), AtomId.overlap(1, 2)])[0] == AtomId.overlap(1, 2)
+
+
+def test_atom_hash_is_the_dataclass_hash():
+    # Set and dict iteration orders — hence every digest — depend on it.
+    for atom in (AtomId.overlap(1, 2), AtomId.overlap(7, 3), AtomId.ingress(4)):
+        assert hash(atom) == hash((atom.kind, atom.groups))
+
+
+def test_cached_hash_is_not_a_field():
+    atom = AtomId.overlap(1, 2)
+    assert [f.name for f in dataclasses.fields(atom)] == ["kind", "groups"]
+    assert dataclasses.asdict(atom) == {"kind": "overlap", "groups": (1, 2)}
+    assert repr(atom) == "Q(1,2)"
+    assert atom == AtomId("overlap", (1, 2))
+    assert atom != AtomId.ingress(1)
+    assert AtomId.ingress(9) < AtomId.overlap(1, 2) < AtomId.overlap(1, 3)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_atom_round_trips_keep_equality_and_hash(clone):
+    for atom in (AtomId.overlap(1, 2), AtomId.ingress(4)):
+        twin = clone(atom)
+        assert twin == atom
+        assert hash(twin) == hash(atom) == hash((twin.kind, twin.groups))
+        assert {atom: 1}[twin] == 1
+
+
+def test_pickled_atom_carries_no_stale_hash():
+    # str hashes differ between processes; only the fields may travel.
+    assert b"_hash" not in pickle.dumps(AtomId.overlap(1, 2))
+
+
+def test_certificate_bytes_unchanged(env32):
+    # Recorded before AtomId cached its hash: atoms must not leak a new
+    # attribute into, or reorder, the exported certificate.
+    fabric = env32.build_fabric(env32.membership_from(golden_snapshot()), seed=3)
+    blob = json.dumps(fabric.export_certificate(), sort_keys=True).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "34c122a5865487a86eb445f80ae5ada01e9f9df2448595667178f6028b91ac56"
+    )
 
 
 def test_atom_repr():

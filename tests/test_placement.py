@@ -1,5 +1,6 @@
 """Unit tests for atom co-location and machine assignment (Section 3.4)."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,8 +15,10 @@ from repro.core.placement import (
     place,
     random_placement,
 )
+from repro.core.reconfigure import reconfigure
 from repro.core.sequencing_graph import SequencingGraph
 from repro.topology.clusters import attach_hosts, host_router_map
+from tests.conftest import golden_snapshot
 
 
 def build(snapshot, **kwargs):
@@ -220,3 +223,69 @@ def test_len_placement():
     graph = build(TRIANGLE)
     placement = Placement(co_locate_atoms(graph))
     assert len(placement) == len(placement.nodes)
+
+
+# ---------------------------------------------------------------------------
+# Goldens: fixed-seed behaviour pinned to recorded values
+# ---------------------------------------------------------------------------
+
+
+def test_place_golden_machines(env32):
+    # Recorded when neighbor lookups still went through a per-call
+    # adjacency dict; RoutingTable.neighbors must feed rng.choice the
+    # same lists, and the slot search must leave build() chains alone.
+    graph = SequencingGraph.build(golden_snapshot(), rng=random.Random(0))
+    placement = place(
+        graph, env32.host_router, env32.topology, env32.routing, rng=random.Random(5)
+    )
+    assert [n.machine for n in placement.nodes] == [
+        102, 106, 106, 106, 102, 101, 105, 98, 99
+    ]
+
+
+def test_two_switch_reconfigure_golden_digest(env32):
+    # Two online epoch switches with traffic in flight and join/leave
+    # churn in between; digest over every host's delivery order across
+    # the three epochs, recorded with the quadratic slot search.
+    membership = env32.membership_from(golden_snapshot())
+    fabric = env32.build_fabric(membership, seed=3)
+    rng = random.Random(11)
+    fabrics = [fabric]
+    for epoch in range(2):
+        snapshot = membership.snapshot()
+        for i in range(40):
+            group = rng.choice(sorted(snapshot))
+            sender = rng.choice(sorted(snapshot[group]))
+            fabric.sim.schedule_at(
+                fabric.sim.now + 2.0 * i,
+                lambda f=fabric, s=sender, g=group: f.publish(s, g),
+            )
+        fabric.run(until=fabric.sim.now + 60.0)
+        for _ in range(4):
+            group = rng.choice(sorted(snapshot))
+            host = rng.randrange(32)
+            if host not in membership.members(group):
+                membership.join(group, host)
+            elif len(membership.members(group)) > 2:
+                membership.leave(group, host)
+        fabric = reconfigure(fabric, membership, seed=100 + epoch)
+        fabrics.append(fabric)
+        assert fabrics[-2].epoch_switch_stats["online"]
+    for group, members in sorted(membership.snapshot().items()):
+        fabric.publish(min(members), group)
+    fabric.run()
+    digest = hashlib.sha256()
+    deliveries = 0
+    for host in env32.hosts:
+        digest.update(f"h{host.host_id}:".encode())
+        for f in fabrics:
+            records = f.delivered(host.host_id)
+            deliveries += len(records)
+            digest.update(",".join(str(r.msg_id) for r in records).encode())
+            digest.update(b";")
+    assert [f.epoch_switch_stats["drain_events"] for f in fabrics[:-1]] == [459, 499]
+    assert deliveries == 757
+    assert (
+        digest.hexdigest()
+        == "03ba4916582eccb8ce9fc4541ee5ba13daf7aea87c97331be14e7e2adbd2b7e1"
+    )

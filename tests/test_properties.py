@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from repro.core.delivery import DeliveryState
 from repro.core.messages import AtomId, Stamp
 from repro.core.overlaps import double_overlaps, overlap_clusters
-from repro.core.sequencing_graph import SequencingGraph, pass_through_cost
+from repro.core.sequencing_graph import (
+    SequencingGraph,
+    _best_slot,
+    pass_through_cost,
+)
 from repro.workloads.occupancy import occupancy_membership
 from repro.workloads.zipf import zipf_group_sizes
 
@@ -134,16 +138,79 @@ def test_dynamic_add_remove_keeps_invariants(base, extra):
     assert graph.groups() == sorted(base)
 
 
+def by_group(atoms):
+    result = {}
+    for atom in atoms:
+        for g in atom.groups:
+            result.setdefault(g, []).append(atom)
+    return result
+
+
 @given(memberships)
 @loose_settings
 def test_chain_order_cost_nonnegative(snapshot):
     graph = SequencingGraph.build(snapshot)
     for chain in graph.chains:
-        atoms_by_group = {}
-        for atom in chain:
-            for g in atom.groups:
-                atoms_by_group.setdefault(g, []).append(atom)
-        assert pass_through_cost(chain, atoms_by_group) >= 0
+        assert pass_through_cost(chain, by_group(chain)) >= 0
+
+
+def quadratic_insertion(chain, atom, atoms_by_group):
+    """Reference slot search: cost every candidate chain, keep the first
+    minimum.  This is the O(n^2) search ``_best_slot`` replaced, kept as
+    its oracle."""
+    best_chain = None
+    best_cost = None
+    for position in range(len(chain) + 1):
+        candidate = chain[:position] + [atom] + chain[position:]
+        cost = pass_through_cost(candidate, atoms_by_group)
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best_chain = candidate
+    return best_chain
+
+
+ALL_PAIRS = [AtomId.overlap(g, h) for g, h in itertools.combinations(range(8), 2)]
+
+
+@given(
+    st.permutations(ALL_PAIRS),
+    st.integers(min_value=0, max_value=len(ALL_PAIRS) - 1),
+    st.integers(min_value=0, max_value=6),
+)
+@loose_settings
+def test_best_slot_matches_quadratic_reference(atoms, length, siblings):
+    """Arbitrary chain orders, and siblings the cost map already lists but
+    the chain does not hold yet (``add_group`` inserts one at a time)."""
+    chain, atom = atoms[:length], atoms[length]
+    later = atoms[length + 1 : length + 1 + siblings]
+    slot = _best_slot(chain, atom)
+    assert chain[:slot] + [atom] + chain[slot:] == quadratic_insertion(
+        chain, atom, by_group(chain + [atom] + later)
+    )
+
+
+@given(
+    memberships,
+    st.sets(st.integers(min_value=0, max_value=7)),
+    st.frozensets(st.integers(min_value=0, max_value=15), min_size=2, max_size=16),
+)
+@loose_settings
+def test_add_group_matches_quadratic_reference(base, leavers, members):
+    """Through ``add_group`` itself, with lazily retired placeholders
+    still holding positions on the chains the new atoms land in."""
+    graph = SequencingGraph.build(base)
+    for group in sorted(leavers & set(base)):
+        graph.remove_group(group, lazy=True)
+    new_atoms = graph.add_group(100, members)
+    if not new_atoms:
+        return
+    (landed,) = [chain for chain in graph.chains if new_atoms[0] in chain]
+    # Insertion keeps the relative order of what was there before.
+    expected = [atom for atom in landed if atom not in new_atoms]
+    cost_map = by_group(expected + new_atoms)
+    for atom in sorted(new_atoms):
+        expected = quadratic_insertion(expected, atom, cost_map)
+    assert landed == expected
 
 
 # ---------------------------------------------------------------------------

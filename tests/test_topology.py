@@ -77,16 +77,19 @@ def test_stub_nodes_near_parent_transit(small_topology):
         assert math.hypot(sx - tx, sy - ty) <= 4.5 * params.stub_radius
 
 
-def test_adjacency_symmetric(small_topology):
-    adj = small_topology.adjacency()
-    for u, neighbors in adj.items():
-        for v, d in neighbors:
-            assert (u, d) in [(x, dd) for x, dd in adj[v]]
-
-
 # ---------------------------------------------------------------------------
 # Routing
 # ---------------------------------------------------------------------------
+
+
+def test_routing_neighbors_match_edges(small_topology, routing):
+    expected = {u: set() for u in range(small_topology.n_nodes)}
+    for u, v, _ in small_topology.edges:
+        expected[u].add(v)
+        expected[v].add(u)
+    for router, neighbors in expected.items():
+        assert routing.neighbors(router) == sorted(neighbors)
+        assert all(type(v) is int for v in routing.neighbors(router))
 
 
 def test_routing_delay_zero_to_self(routing):
