@@ -30,6 +30,10 @@ class AtomRuntime:
 
     def __init__(self, atom_id: AtomId, retired: bool = False):
         self.atom_id = atom_id
+        #: what :meth:`process` asks of the identity on every visit, read
+        #: once: an ``AtomId`` is immutable
+        self._ingress_only = atom_id.is_ingress_only
+        self._groups = atom_id.groups
         #: retired atoms (lazily removed, Section 3.2) stay on chains as
         #: pass-through placeholders and never stamp
         self.retired = retired
@@ -68,21 +72,22 @@ class AtomRuntime:
         atoms on the path forward it untouched, preserving arrival order.
         """
         group = message.group
-        if group not in self.prev_atom:
+        try:
+            prev = self.prev_atom[group]
+        except KeyError:
             raise KeyError(
                 f"atom {self.atom_id} has no forwarding state for group {group}"
-            )
+            ) from None
         self.visits += 1
-        is_ingress = self.prev_atom[group] is None
-        if is_ingress and message.group_seq is None:
+        if prev is None and message.group_seq is None:
             message.assign_group_seq(self.next_group_local_seq(group))
         if self.retired:
             # Lazily removed (Section 3.2): forward in arrival order only.
             self.messages_passed_through += 1
-        elif self.atom_id.sequences_group(group) and not self.atom_id.is_ingress_only:
-            message.add_atom_seq(self.atom_id, self.next_overlap_seq())
+        elif self._ingress_only:
             self.messages_sequenced += 1
-        elif self.atom_id.is_ingress_only:
+        elif group in self._groups:
+            message.add_atom_seq(self.atom_id, self.next_overlap_seq())
             self.messages_sequenced += 1
         else:
             self.messages_passed_through += 1

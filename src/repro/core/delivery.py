@@ -21,11 +21,33 @@ Beyond the yes/no decision, the state can *explain* it:
 buffer, and the ``on_buffer``/``on_drain`` observers surface every
 buffering and every buffer release (with the arrival that triggered it)
 to the forensics layer (:mod:`repro.obs.forensics`).
+
+What the decision costs.  Every sequence space the receiver observes
+gap-free owns a *slot* in one flat list of expected numbers.  Stamps of a
+group carry the same atoms in the same order for as long as the
+sequencing graph stands, so which stamp positions gate delivery here is
+worked out once per group (the group's *layout*) and every later stamp is
+checked against it with one tuple comparison: a stamp that does not
+conform gets a layout of its own, never a stale one.  Buffered messages
+are indexed by the gap they wait for, so a delivery wakes only the
+messages it may have unblocked instead of rescanning the buffer.
 """
 
+import heapq
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.messages import AtomId, Stamp
+
+_ATOM_OF = itemgetter(0)
+
+#: ``(slot of the group-local counter, atoms of the group's stamps in
+#: stamp order, (position, slot, position, slot, ...) of the relevant
+#: ones)``; the atoms are ``None`` until the group's first stamp
+_Layout = Tuple[int, Optional[Tuple[AtomId, ...]], Tuple[int, ...]]
+#: ``(slot, number the stamp carries there, its stamp position)``; the
+#: position is -1 for the group-local number
+_Gap = Tuple[int, int, int]
 
 
 class Blocking(NamedTuple):
@@ -74,9 +96,24 @@ class DeliveryState:
         relevant_atoms: Iterable[AtomId],
     ):
         self.host_id = host_id
-        self._expected_group: Dict[int, int] = {g: 1 for g in groups}
-        self._expected_atom: Dict[AtomId, int] = {a: 1 for a in relevant_atoms}
-        self._buffer: List[Tuple[Stamp, object]] = []
+        subscribed = list(dict.fromkeys(groups))
+        relevant = list(dict.fromkeys(relevant_atoms))
+        #: next number accepted in each sequence space (slot), groups first
+        self._expected: List[int] = [1] * (len(subscribed) + len(relevant))
+        self._layouts: Dict[int, _Layout] = {
+            group: (slot, None, ()) for slot, group in enumerate(subscribed)
+        }
+        self._atom_slot: Dict[AtomId, int] = {
+            atom_id: slot for slot, atom_id in enumerate(relevant, len(subscribed))
+        }
+        #: arrival index -> buffered (stamp, payload); insertion order is
+        #: arrival order and survives releases from the middle
+        self._held: Dict[int, Tuple[Stamp, object]] = {}
+        self._arrivals = 0
+        #: (slot, number) -> arrival indices of the buffered messages whose
+        #: first open gap is that number in that space; exists only while
+        #: something is buffered
+        self._waiters: Optional[Dict[Tuple[int, int], List[int]]] = None
         self.delivered_count = 0
         self.buffered_high_water = 0
         #: optional observer called with the new buffer depth after every
@@ -107,44 +144,83 @@ class DeliveryState:
         must expect the *next* number in each space rather than 1.
         Unknown keys are ignored (the receiver is not subscribed/relevant).
         """
-        if self._buffer:
+        if self._held:
             raise ValueError(
                 f"host {self.host_id} has buffered messages; resume only "
                 "from a quiescent state"
             )
         for group, expected in group_next.items():
-            if group in self._expected_group:
-                self._expected_group[group] = expected
+            if group in self._layouts:
+                self._expected[self._layouts[group][0]] = expected
         for atom_id, expected in atom_next.items():
-            if atom_id in self._expected_atom:
-                self._expected_atom[atom_id] = expected
+            if atom_id in self._atom_slot:
+                self._expected[self._atom_slot[atom_id]] = expected
 
     # ------------------------------------------------------------------
 
     def subscribes_to(self, group: int) -> bool:
         """Whether this receiver tracks the given group."""
-        return group in self._expected_group
+        return group in self._layouts
 
-    def _relevant_entries(self, stamp: Stamp) -> List[Tuple[AtomId, int]]:
-        return [
-            (atom_id, seq)
-            for atom_id, seq in stamp.atom_seqs
-            if atom_id in self._expected_atom
-        ]
+    def _layout(self, stamp: Stamp) -> _Layout:
+        """The layout ``stamp`` conforms to, worked out now if it is new."""
+        group = stamp.group
+        try:
+            layout = self._layouts[group]
+        except KeyError:
+            raise KeyError(
+                f"host {self.host_id} received message for unsubscribed "
+                f"group {group}"
+            ) from None
+        # Compared through a throw-away tuple; only a stamp that teaches a
+        # layout keeps its ``atoms``, and as every member of the group
+        # meets that stamp first, they all hold the one tuple.
+        if tuple(map(_ATOM_OF, stamp.atom_seqs)) != layout[1]:
+            atoms = stamp.atoms
+            atom_slot = self._atom_slot
+            relevant: List[int] = []
+            for position, atom_id in enumerate(atoms):
+                slot = atom_slot.get(atom_id)
+                if slot is not None:
+                    relevant += (position, slot)
+            layout = self._layouts[group] = (layout[0], atoms, tuple(relevant))
+        return layout
+
+    def _open_gap(self, stamp: Stamp, layout: _Layout) -> Optional[_Gap]:
+        """The first space in which ``stamp`` is not the next message.
+
+        Spaces are tried in decision order: the group-local counter, then
+        the relevant atoms in stamp (path) order.
+        """
+        expected = self._expected
+        slot = layout[0]
+        have = stamp.group_seq
+        if have != expected[slot]:
+            return slot, have, -1
+        relevant = layout[2]
+        if relevant:
+            atom_seqs = stamp.atom_seqs
+            for i in range(0, len(relevant), 2):
+                position = relevant[i]
+                slot = relevant[i + 1]
+                have = atom_seqs[position][1]
+                if have != expected[slot]:
+                    return slot, have, position
+        return None
+
+    def _describe(self, stamp: Stamp, gap: _Gap) -> Blocking:
+        slot, have, position = gap
+        if position < 0:
+            return Blocking(
+                "group", f"group:{stamp.group}", have, self._expected[slot]
+            )
+        return Blocking(
+            "atom", repr(stamp.atom_seqs[position][0]), have, self._expected[slot]
+        )
 
     def deliverable(self, stamp: Stamp) -> bool:
         """The instant deliver-or-buffer decision for one stamp."""
-        if stamp.group not in self._expected_group:
-            raise KeyError(
-                f"host {self.host_id} received message for unsubscribed "
-                f"group {stamp.group}"
-            )
-        if stamp.group_seq != self._expected_group[stamp.group]:
-            return False
-        return all(
-            seq == self._expected_atom[atom_id]
-            for atom_id, seq in self._relevant_entries(stamp)
-        )
+        return self._open_gap(stamp, self._layout(stamp)) is None
 
     def blocking_of(self, stamp: Stamp) -> Optional[Blocking]:
         """Name the first gap blocking ``stamp``; ``None`` if deliverable.
@@ -155,27 +231,32 @@ class DeliveryState:
         Several constraints may be unmet at once; re-query after each
         arrival to watch the blocking front move.
         """
-        if stamp.group not in self._expected_group:
-            raise KeyError(
-                f"host {self.host_id} received message for unsubscribed "
-                f"group {stamp.group}"
-            )
-        expected = self._expected_group[stamp.group]
-        if stamp.group_seq != expected:
-            return Blocking(
-                "group", f"group:{stamp.group}", stamp.group_seq, expected
-            )
-        for atom_id, seq in self._relevant_entries(stamp):
-            expected = self._expected_atom[atom_id]
-            if seq != expected:
-                return Blocking("atom", repr(atom_id), seq, expected)
-        return None
+        gap = self._open_gap(stamp, self._layout(stamp))
+        return None if gap is None else self._describe(stamp, gap)
 
-    def _consume(self, stamp: Stamp) -> None:
-        self._expected_group[stamp.group] += 1
-        for atom_id, _ in self._relevant_entries(stamp):
-            self._expected_atom[atom_id] += 1
+    def _consume(self, layout: _Layout) -> None:
+        """Advance every counter a delivered stamp held."""
+        expected = self._expected
+        relevant = layout[2]
+        expected[layout[0]] += 1
+        for i in range(1, len(relevant), 2):
+            expected[relevant[i]] += 1
         self.delivered_count += 1
+
+    def _wake(self, layout: _Layout, woken: List[int]) -> None:
+        """Move the waiters of the counters just advanced onto ``woken``."""
+        waiters = self._waiters
+        assert waiters is not None  # only called while something waits
+        expected = self._expected
+        for slot in (layout[0],) + layout[2][1::2]:
+            for index in waiters.pop((slot, expected[slot]), ()):
+                heapq.heappush(woken, index)
+
+    def _wait(self, index: int, gap: _Gap) -> None:
+        """File a buffered message under the gap it is waiting for."""
+        if self._waiters is None:
+            self._waiters = {}
+        self._waiters.setdefault((gap[0], gap[1]), []).append(index)
 
     def on_receive(self, stamp: Stamp, payload: object = None) -> List[Tuple[Stamp, object]]:
         """Accept an arriving message; return everything now deliverable.
@@ -185,50 +266,76 @@ class DeliveryState:
         not yet deliverable is buffered and the list is empty.
         """
         delivered: List[Tuple[Stamp, object]] = []
-        depth_before = len(self._buffer)
-        if self.deliverable(stamp):
-            self._consume(stamp)
+        depth_before = len(self._held)
+        layout = self._layout(stamp)
+        gap = self._open_gap(stamp, layout)
+        if gap is None:
+            self._consume(layout)
             delivered.append((stamp, payload))
-            delivered.extend(self._drain_buffer(stamp, payload))
+            if self._waiters:
+                self._release_waiters(layout, stamp, payload, delivered)
         else:
             if self.on_buffer is not None:
-                blocking = self.blocking_of(stamp)
-                assert blocking is not None  # not deliverable, so a gap exists
-                self.on_buffer(stamp, payload, blocking)
-            self._buffer.append((stamp, payload))
-            self.buffered_high_water = max(self.buffered_high_water, len(self._buffer))
-        if self.on_occupancy is not None and len(self._buffer) != depth_before:
-            self.on_occupancy(len(self._buffer))
+                self.on_buffer(stamp, payload, self._describe(stamp, gap))
+            index = self._arrivals
+            self._arrivals = index + 1
+            self._held[index] = (stamp, payload)
+            self._wait(index, gap)
+            if len(self._held) > self.buffered_high_water:
+                self.buffered_high_water = len(self._held)
+        depth = len(self._held)
+        if self.on_occupancy is not None and depth != depth_before:
+            self.on_occupancy(depth)
         return delivered
 
-    def _drain_buffer(
-        self, by_stamp: Stamp, by_payload: object
-    ) -> List[Tuple[Stamp, object]]:
-        delivered: List[Tuple[Stamp, object]] = []
-        progress = True
-        while progress:
-            progress = False
-            for index, (stamp, payload) in enumerate(self._buffer):
-                if self.deliverable(stamp):
-                    self._consume(stamp)
-                    if self.on_drain is not None:
-                        self.on_drain(stamp, payload, by_stamp, by_payload)
-                    delivered.append((stamp, payload))
-                    del self._buffer[index]
-                    progress = True
-                    break
-        return delivered
+    def _release_waiters(
+        self,
+        layout: _Layout,
+        by_stamp: Stamp,
+        by_payload: object,
+        delivered: List[Tuple[Stamp, object]],
+    ) -> None:
+        """Deliver every buffered message the arrival unblocked.
+
+        ``woken`` is a min-heap of arrival indices.  Two woken messages can
+        be deliverable at once (a receiver in two groups that share no
+        atom); the earliest arrival goes first, which is the order a scan
+        of the buffer from its head would find them in.  A woken message
+        is deliverable only if no later gap of it is still open and no
+        duplicate of it got there first, so it is asked again.
+        """
+        held = self._held
+        woken: List[int] = []
+        self._wake(layout, woken)
+        while woken:
+            index = heapq.heappop(woken)
+            stamp, payload = held[index]
+            layout = self._layout(stamp)
+            gap = self._open_gap(stamp, layout)
+            if gap is not None:
+                self._wait(index, gap)
+                continue
+            self._consume(layout)
+            self._wake(layout, woken)
+            if self.on_drain is not None:
+                self.on_drain(stamp, payload, by_stamp, by_payload)
+            delivered.append((stamp, payload))
+            del held[index]
+        if not held:
+            # Drained: an emptied dict keeps the table it grew.
+            self._held = {}
+            self._waiters = None
 
     # ------------------------------------------------------------------
 
     @property
     def pending(self) -> int:
         """Messages currently buffered awaiting predecessors."""
-        return len(self._buffer)
+        return len(self._held)
 
     def pending_stamps(self) -> List[Stamp]:
-        """Stamps of buffered messages (diagnostics)."""
-        return [stamp for stamp, _ in self._buffer]
+        """Stamps of buffered messages, in arrival order (diagnostics)."""
+        return [stamp for stamp, _ in self._held.values()]
 
     def pending_blocking(self) -> List[Tuple[Stamp, Blocking]]:
         """Each buffered stamp with the gap *currently* blocking it.
@@ -239,7 +346,7 @@ class DeliveryState:
         end-of-run forensics to explain messages that never drained.
         """
         out: List[Tuple[Stamp, Blocking]] = []
-        for stamp, _ in self._buffer:
+        for stamp, _ in self._held.values():
             blocking = self.blocking_of(stamp)
             assert blocking is not None  # buffered, so a gap exists
             out.append((stamp, blocking))
@@ -247,7 +354,7 @@ class DeliveryState:
 
     def expected_group_seq(self, group: int) -> int:
         """Next group-local number this receiver will accept for ``group``."""
-        return self._expected_group[group]
+        return self._expected[self._layouts[group][0]]
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,9 @@ advantage over vector timestamps (Section 2, Section 4.4).
 """
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, List, Optional, Tuple
+from functools import cached_property
+from operator import itemgetter
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 #: Serialized bytes for fixed message header fields (ids, group, group seq).
 HEADER_BYTES = 16
@@ -35,6 +37,12 @@ class AtomId:
     orders are those of a plain frozen dataclass — and is not a field:
     ``fields()``, ``repr``, ordering and equality see only ``kind`` and
     ``groups``.
+
+    :meth:`overlap` and :meth:`ingress` return one shared instance per
+    identity, so a dict probe with an atom obtained from them matches its
+    key by object identity and never reaches the generated ``__eq__``.
+    An ``AtomId`` constructed directly or unpickled is a separate object
+    that still compares and hashes equal to the shared one.
     """
 
     kind: str
@@ -46,6 +54,9 @@ class AtomId:
     #: Per instance, set by ``__post_init__``; annotated ``ClassVar`` only
     #: so that ``dataclass`` does not make a field of it.
     _hash: ClassVar[int]
+    #: ``(kind, groups)`` -> the instance :meth:`overlap`/:meth:`ingress`
+    #: hand out; bounded by the number of distinct atoms ever named
+    _shared: ClassVar[Dict[Tuple[str, Tuple[int, ...]], "AtomId"]] = {}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.kind, self.groups)))
@@ -63,13 +74,20 @@ class AtomId:
         """Atom for the double overlap of groups ``g`` and ``h``."""
         if g == h:
             raise ValueError("an overlap atom needs two distinct groups")
-        lo, hi = (g, h) if g < h else (h, g)
-        return cls(cls.OVERLAP, (lo, hi))
+        return cls._share(cls.OVERLAP, (g, h) if g < h else (h, g))
 
     @classmethod
     def ingress(cls, g: int) -> "AtomId":
         """Ingress-only atom for a group without double overlaps."""
-        return cls(cls.INGRESS, (g,))
+        return cls._share(cls.INGRESS, (g,))
+
+    @classmethod
+    def _share(cls, kind: str, groups: Tuple[int, ...]) -> "AtomId":
+        key = (kind, groups)
+        atom = cls._shared.get(key)
+        if atom is None:
+            atom = cls._shared[key] = cls(kind, groups)
+        return atom
 
     @property
     def is_ingress_only(self) -> bool:
@@ -105,6 +123,16 @@ class Stamp:
     group: int
     group_seq: int
     atom_seqs: Tuple[Tuple[AtomId, int], ...] = ()
+
+    @cached_property
+    def atoms(self) -> Tuple[AtomId, ...]:
+        """The atoms of ``atom_seqs``, in order.
+
+        Kept on the stamp once asked for (it is not a field), so every
+        receiver that takes a group's stamp layout from this stamp holds
+        the same tuple.
+        """
+        return tuple(map(itemgetter(0), self.atom_seqs))
 
     def seq_of(self, atom_id: AtomId) -> Optional[int]:
         """Sequence number this stamp carries for ``atom_id``, if any."""
@@ -161,8 +189,14 @@ class Message:
 
     def add_atom_seq(self, atom_id: AtomId, seq: int) -> None:
         """Append an atom's sequence number (each atom stamps once)."""
-        if any(aid == atom_id for aid, _ in self._atom_seqs):
-            raise ValueError(f"atom {atom_id} already stamped message {self.msg_id}")
+        stamped_hash = atom_id._hash
+        for aid, _ in self._atom_seqs:
+            # Cached hashes first: an int compare rules out every other
+            # atom without a call into the generated ``__eq__``.
+            if aid._hash == stamped_hash and aid == atom_id:
+                raise ValueError(
+                    f"atom {atom_id} already stamped message {self.msg_id}"
+                )
         self._atom_seqs.append((atom_id, seq))
 
     @property

@@ -93,11 +93,17 @@ def retransmit_jitter_fraction(seq: int, attempts: int) -> float:
 # ---------------------------------------------------------------------------
 # Packets
 # ---------------------------------------------------------------------------
+#
+# One packet object exists per hop of every message, so the packet classes
+# declare ``__slots__``.  (``dataclass(slots=True)`` needs Python 3.10; the
+# package supports 3.9.)
 
 
 @dataclass
 class DataPacket:
     """A message in the sequencing phase, addressed to a specific atom."""
+
+    __slots__ = ("message", "target_atom")
 
     message: Message
     target_atom: AtomId
@@ -106,9 +112,14 @@ class DataPacket:
         return HEADER_BYTES + ATOM_ENTRY_BYTES * len(self.message.atom_seqs)
 
 
-@dataclass
+@dataclass(init=False)
 class DeliverPacket:
     """A fully sequenced message in the distribution phase."""
+
+    __slots__ = (
+        "stamp", "payload", "msg_id", "sender", "publish_time", "dest",
+        "egress_node",
+    )
 
     stamp: Stamp
     payload: Any
@@ -117,7 +128,27 @@ class DeliverPacket:
     publish_time: float
     dest: int
     #: sequencing node that distributed the message (stability ack target)
-    egress_node: int = -1
+    egress_node: int
+
+    def __init__(
+        self,
+        stamp: Stamp,
+        payload: Any,
+        msg_id: int,
+        sender: int,
+        publish_time: float,
+        dest: int,
+        egress_node: int = -1,
+    ):
+        # Written out because a slot cannot also hold the class-level
+        # default a generated ``__init__`` would read.
+        self.stamp = stamp
+        self.payload = payload
+        self.msg_id = msg_id
+        self.sender = sender
+        self.publish_time = publish_time
+        self.dest = dest
+        self.egress_node = egress_node
 
     def size_bytes(self) -> int:
         return self.stamp.size_bytes()
@@ -126,6 +157,8 @@ class DeliverPacket:
 @dataclass
 class StabilityAck:
     """Host -> egress node: "I delivered message ``msg_id`` to the app"."""
+
+    __slots__ = ("msg_id", "host")
 
     msg_id: int
     host: int
@@ -145,6 +178,8 @@ class StableNotice:
     irrevocably on the message.
     """
 
+    __slots__ = ("msg_id",)
+
     msg_id: int
 
     def size_bytes(self) -> int:
@@ -160,6 +195,8 @@ class HopPacket:
     retransmissions.
     """
 
+    __slots__ = ("seq", "inner")
+
     seq: int
     inner: Any
 
@@ -170,6 +207,8 @@ class HopPacket:
 @dataclass
 class AckPacket:
     """Per-hop acknowledgment releasing a retransmission buffer entry."""
+
+    __slots__ = ("seq",)
 
     seq: int
 
@@ -187,6 +226,8 @@ class HeartbeatPing:
     :class:`HeartbeatPong`; a crashed node drops the ping on the floor.
     """
 
+    __slots__ = ("seq",)
+
     seq: int
 
     def size_bytes(self) -> int:
@@ -196,6 +237,8 @@ class HeartbeatPing:
 @dataclass
 class HeartbeatPong:
     """A sequencing node's liveness reply to a :class:`HeartbeatPing`."""
+
+    __slots__ = ("seq", "node_id")
 
     seq: int
     node_id: int
@@ -248,12 +291,24 @@ class _LinkState:
 class DeliveryRecord:
     """One delivered message as observed by a receiver host."""
 
+    # Every delivery of a run is retained as one of these.
+    __slots__ = ("time", "stamp", "payload", "msg_id", "sender", "publish_time")
+
     time: float
     stamp: Stamp
     payload: Any
     msg_id: int
     sender: int
     publish_time: float
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Frozen and slotted: the default reconstruction assigns the slots
+        # one by one, which a frozen dataclass refuses.
+        return (
+            type(self),
+            (self.time, self.stamp, self.payload, self.msg_id, self.sender,
+             self.publish_time),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +370,13 @@ class HostProcess(Process):
         return self.sim.now < self._crashed_until
 
     def receive(self, payload: Any, channel: Link) -> None:
-        if self.is_down:
+        if self.sim.now < self._crashed_until:
             return
-        for packet in self.fabric._link_receive(self, payload, channel):
+        fabric = self.fabric
+        if not fabric.reliable:
+            self.handle(payload)
+            return
+        for packet in fabric._link_receive(self, payload, channel):
             self.handle(packet)
 
     def handle(self, payload: Any) -> None:
@@ -335,60 +394,70 @@ class HostProcess(Process):
         self._handle(payload)
 
     def _handle(self, payload: Any) -> None:
-        if isinstance(payload, StableNotice):
-            self.stable_ids.add(payload.msg_id)
-            return
         if not isinstance(payload, DeliverPacket):
+            if isinstance(payload, StableNotice):
+                self.stable_ids.add(payload.msg_id)
+                return
             raise TypeError(f"host got unexpected packet {payload!r}")
-        if self.fabric.track_stability:
+        fabric = self.fabric
+        now = self.sim.now
+        host_id = self.host.host_id
+        track_stability = fabric.track_stability
+        if track_stability:
             self._egress_of[payload.msg_id] = payload.egress_node
-        for stamp, record in self.delivery.on_receive(
+        arrival = DeliveryRecord(
+            now,
             payload.stamp,
-            DeliveryRecord(
-                time=self.sim.now,
-                stamp=payload.stamp,
-                payload=payload.payload,
-                msg_id=payload.msg_id,
-                sender=payload.sender,
-                publish_time=payload.publish_time,
-            ),
-        ):
-            # on_receive returns records in delivery order; re-stamp the
-            # delivery time for messages released from the buffer now.
-            final = DeliveryRecord(
-                time=self.sim.now,
-                stamp=stamp,
-                payload=record.payload,
-                msg_id=record.msg_id,
-                sender=record.sender,
-                publish_time=record.publish_time,
-            )
-            if isinstance(final.payload, EpochFence):
+            payload.payload,
+            payload.msg_id,
+            payload.sender,
+            payload.publish_time,
+        )
+        # on_receive returns records in delivery order.  The arrival's own
+        # record already carries the delivery time; records released from
+        # the buffer carry their arrival time and are re-stamped.
+        for stamp, record in self.delivery.on_receive(payload.stamp, arrival):
+            if record is not arrival:
+                record = DeliveryRecord(
+                    now,
+                    stamp,
+                    record.payload,
+                    record.msg_id,
+                    record.sender,
+                    record.publish_time,
+                )
+            if isinstance(record.payload, EpochFence):
                 # Epoch fences advance the hold-back expectations like any
                 # sequenced message but are consumed by the fabric: they
                 # never reach the application log or stability tracking.
-                self._egress_of.pop(final.msg_id, None)
-                self.fabric._fence_delivered(self.host.host_id, final)
+                self._egress_of.pop(record.msg_id, None)
+                fabric._fence_delivered(host_id, record)
                 continue
-            self.delivered.append(final)
-            self.fabric.trace.record(
-                self.sim.now,
-                "deliver",
-                host=self.host.host_id,
-                msg=final.msg_id,
-                group=stamp.group,
-                sender=final.sender,
-                publish_time=final.publish_time,
-            )
-            if self.fabric.on_deliver is not None:
-                self.fabric.on_deliver(self.host.host_id, final)
-            if self.fabric.track_stability:
-                egress = self._egress_of.pop(final.msg_id, -1)
+            self.delivered.append(record)
+            trace = fabric.trace
+            if trace.enabled:
+                trace.record(
+                    now,
+                    "deliver",
+                    host=host_id,
+                    msg=record.msg_id,
+                    group=stamp.group,
+                    sender=record.sender,
+                    publish_time=record.publish_time,
+                )
+            else:
+                # One per delivery: counted (see the Trace contract) without
+                # packing five keyword arguments nobody will read.
+                trace.record(now, "deliver")
+            if fabric.on_deliver is not None:
+                fabric.on_deliver(host_id, record)
+            if track_stability:
+                egress = self._egress_of.pop(record.msg_id, -1)
                 if egress >= 0:
-                    self.fabric._transmit(
+                    fabric._transmit(
                         self,
-                        self.fabric.node_processes[egress],
-                        StabilityAck(final.msg_id, self.host.host_id),
+                        fabric.node_processes[egress],
+                        StabilityAck(record.msg_id, host_id),
                     )
 
     def _record_buffer(
@@ -456,6 +525,8 @@ class SequencingNodeProcess(Process):
         self.machine = machine
         self.atom_runtimes = atom_runtimes
         self.fabric = fabric
+        #: the fabric's per-visit processing time, fixed at construction
+        self._service_time = fabric.service_time
         #: distinct messages this node handled (one per visit, however many
         #: co-located atoms the message is processed by during the visit)
         self.messages_handled = 0
@@ -501,18 +572,22 @@ class SequencingNodeProcess(Process):
         return self.sim.now < self._crashed_until
 
     def receive(self, payload: Any, channel: Link) -> None:
-        if self.is_down:
+        if self.sim.now < self._crashed_until:
             self.packets_dropped_while_down += 1
             return
+        fabric = self.fabric
         if isinstance(payload, HeartbeatPing):
             # Heartbeats bypass the reliable link layer in both directions
             # (see HeartbeatPing): answer immediately on the reverse path.
-            reverse = self.fabric._channel(self, channel.src)
+            reverse = fabric._channel(self, channel.src)
             reverse.send(
                 HeartbeatPong(payload.seq, self.node_id), HEARTBEAT_BYTES
             )
             return
-        for packet in self.fabric._link_receive(self, payload, channel):
+        if not fabric.reliable:
+            self.handle(payload)
+            return
+        for packet in fabric._link_receive(self, payload, channel):
             self.handle(packet)
 
     def handle(self, payload: Any) -> None:
@@ -521,7 +596,7 @@ class SequencingNodeProcess(Process):
             return
         if not isinstance(payload, DataPacket):
             raise TypeError(f"sequencing node got unexpected packet {payload!r}")
-        service = self.fabric.service_time
+        service = self._service_time
         if service <= 0:
             self.messages_handled += 1
             self.process_at(payload.target_atom, payload.message)
@@ -589,13 +664,14 @@ class SequencingNodeProcess(Process):
                 node=self.node_id,
                 atom=repr(atom_id),
             )
+        runtimes = self.atom_runtimes
         current = atom_id
+        runtime = runtimes.get(current)
+        if runtime is None:
+            raise SimulationError(
+                f"atom {current} routed to node {self.node_id} but not hosted"
+            )
         while True:
-            runtime = self.atom_runtimes.get(current)
-            if runtime is None:
-                raise SimulationError(
-                    f"atom {current} routed to node {self.node_id} but not hosted"
-                )
             if trace.enabled:
                 next_atom = self._process_traced(runtime, message, current)
             else:
@@ -603,11 +679,11 @@ class SequencingNodeProcess(Process):
             if next_atom is None:
                 self.fabric._distribute(self, message)
                 return
-            if next_atom in self.atom_runtimes:
-                current = next_atom
-                continue
-            self.fabric._send_data(self, next_atom, message)
-            return
+            runtime = runtimes.get(next_atom)
+            if runtime is None:
+                self.fabric._send_data(self, next_atom, message)
+                return
+            current = next_atom
 
     def _process_traced(
         self, runtime: AtomRuntime, message: Message, current: AtomId
@@ -813,6 +889,11 @@ class OrderingFabric:
             self.network.add_process(process)
             self.node_processes[node.node_id] = process
 
+        # Per-group facts of the epoch's (frozen) sequencing graph, looked
+        # up on every publish and every distribution; filled on first use.
+        self._ingress: Dict[int, Tuple[AtomId, SequencingNodeProcess]] = {}
+        self._members: Dict[int, Tuple[int, ...]] = {}
+
         self._next_msg_id = 0
         self._links: Dict[Tuple[Any, Any], _LinkState] = {}
         self.published: Dict[int, Message] = {}
@@ -1016,7 +1097,7 @@ class OrderingFabric:
         back), so the protocol above always sees a FIFO channel.
         """
         if not self.reliable:
-            return [payload]
+            return [payload]  # receivers skip this call when the layer is off
         sender_name = channel.src.name
         if isinstance(payload, AckPacket):
             link = self._link(receiver.name, sender_name)
@@ -1148,22 +1229,37 @@ class OrderingFabric:
         """
         if not self.membership.has_group(group):
             raise KeyError(f"no such group {group}")
-        message = Message(
-            msg_id=self._next_msg_id,
-            group=group,
-            sender=sender,
-            payload=payload,
-            publish_time=self.sim.now,
+        now = self.sim.now
+        msg_id = self._next_msg_id
+        self._next_msg_id = msg_id + 1
+        message = Message(msg_id, group, sender, payload, now)
+        self.published[msg_id] = message
+        self.trace.record(now, "publish", msg=msg_id, group=group, sender=sender)
+        ingress, node = self._ingress_of(group)
+        self._transmit(
+            self.host_processes[sender], node, DataPacket(message, ingress)
         )
-        self._next_msg_id += 1
-        self.published[message.msg_id] = message
-        self.trace.record(self.sim.now, "publish", msg=message.msg_id, group=group, sender=sender)
-        ingress = self.graph.ingress_atom(group)
-        node = self.placement.node_of(ingress)
-        src = self.host_processes[sender]
-        dst = self.node_processes[node.node_id]
-        self._transmit(src, dst, DataPacket(message, ingress))
-        return message.msg_id
+        return msg_id
+
+    def _ingress_of(self, group: int) -> Tuple[AtomId, SequencingNodeProcess]:
+        """The group's ingress atom and the process of the node hosting it."""
+        route = self._ingress.get(group)
+        if route is None:
+            ingress = self.graph.ingress_atom(group)
+            node = self.placement.node_of(ingress)
+            route = self._ingress[group] = (
+                ingress, self.node_processes[node.node_id]
+            )
+        return route
+
+    def _members_of(self, group: int) -> Tuple[int, ...]:
+        """The epoch's members of ``group``, sorted (distribution order)."""
+        members = self._members.get(group)
+        if members is None:
+            members = self._members[group] = tuple(
+                sorted(self.graph.members(group))
+            )
+        return members
 
     # -- epoch fences (online reconfiguration) ------------------------------
 
@@ -1184,7 +1280,7 @@ class OrderingFabric:
         }
 
     def _publish_fence(self, group: int, epoch: int) -> int:
-        members = sorted(self.graph.members(group))
+        members = self._members_of(group)
         sender = members[0]
         message = Message(
             msg_id=self._next_msg_id,
@@ -1206,12 +1302,9 @@ class OrderingFabric:
             epoch=epoch,
             sender=sender,
         )
-        ingress = self.graph.ingress_atom(group)
-        node = self.placement.node_of(ingress)
+        ingress, node = self._ingress_of(group)
         self._transmit(
-            self.host_processes[sender],
-            self.node_processes[node.node_id],
-            DataPacket(message, ingress),
+            self.host_processes[sender], node, DataPacket(message, ingress)
         )
         return message.msg_id
 
@@ -1261,7 +1354,7 @@ class OrderingFabric:
         # matrix may already describe the next epoch while this epoch's
         # traffic is still draining.  While the membership is unchanged the
         # two sets are identical.
-        members = sorted(self.graph.members(message.group))
+        members = self._members_of(message.group)
         if self.trace.enabled:
             self.trace.record(
                 self.sim.now,
@@ -1272,17 +1365,22 @@ class OrderingFabric:
             )
         if self.track_stability and not isinstance(message.payload, EpochFence):
             src.expect_stability_acks(message.msg_id, members)
+        payload = message.payload
+        msg_id = message.msg_id
+        sender = message.sender
+        publish_time = message.publish_time
+        egress = src.node_id
+        hosts = self.host_processes
         for member in members:
-            packet = DeliverPacket(
-                stamp=stamp,
-                payload=message.payload,
-                msg_id=message.msg_id,
-                sender=message.sender,
-                publish_time=message.publish_time,
-                dest=member,
-                egress_node=src.node_id,
+            # _transmit is looked up per packet: the checker's mutation
+            # harness patches it on the instance.
+            self._transmit(
+                src,
+                hosts[member],
+                DeliverPacket(
+                    stamp, payload, msg_id, sender, publish_time, member, egress
+                ),
             )
-            self._transmit(src, self.host_processes[member], packet)
         self._account_distribution(src, message.group, stamp.size_bytes())
 
     def _account_distribution(

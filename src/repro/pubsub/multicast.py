@@ -35,9 +35,11 @@ class DeliveryTree:
         self.members: List[int] = sorted(set(members))
         self._delay: Dict[int, float] = {}
         self._tree_edges: Set[Tuple[int, int]] = set()
+        self._unicast_links = 0
         for member in self.members:
             path = routing.path(root, member)
             self._delay[member] = routing.delay(root, member)
+            self._unicast_links += len(path) - 1
             for u, v in zip(path, path[1:]):
                 self._tree_edges.add((u, v))
 
@@ -64,6 +66,4 @@ class DeliveryTree:
         The ratio ``unicast_link_count / link_count`` is the classic
         multicast link-sharing gain.
         """
-        return sum(
-            len(self.routing.path(self.root, member)) - 1 for member in self.members
-        )
+        return self._unicast_links

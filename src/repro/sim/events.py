@@ -3,7 +3,9 @@
 The simulator executes callbacks at scheduled virtual times.  Two events
 scheduled for the same time fire in the order they were scheduled (stable
 tie-breaking by a monotonically increasing sequence number), which keeps
-simulations reproducible across runs and platforms.
+simulations reproducible across runs and platforms.  The heap holds
+``(time, seq, handle)`` tuples: ``seq`` is unique, so the tuple comparison
+is decided on the first two fields, in C, and never reaches the handle.
 
 Observability: the loop maintains a live count of pending events (O(1),
 updated on push/pop/cancel), a queue-depth high-water mark, and — when
@@ -59,9 +61,6 @@ class EventHandle:
             if self.sim is not None:
                 self.sim._live -= 1
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -92,7 +91,7 @@ class Simulator:
 
     def __init__(self, profile_every: int = 0) -> None:
         self.now: float = 0.0
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq: int = 0
         self._running: bool = False
         self.events_executed: int = 0
@@ -116,39 +115,57 @@ class Simulator:
         ``delay`` must be non-negative; zero-delay events run after all
         events already scheduled for the current instant.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
-        handle = EventHandle(self.now + delay, self._seq, callback, args, self)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
-        self._live += 1
-        if len(self._heap) > self.heap_high_water:
-            self.heap_high_water = len(self._heap)
-        return handle
+        return self._push(delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        return self.schedule(time - self.now, callback, *args)
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        The event fires at ``now + (time - now)``, which can differ from
+        ``time`` in the last bit; same-instant ties depend on it.
+        """
+        return self._push(time - self.now, callback, args)
+
+    def _push(
+        self, delay: float, callback: Callable, args: Tuple[Any, ...]
+    ) -> EventHandle:
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, self)
+        heap = self._heap
+        heapq.heappush(heap, (time, seq, handle))
+        self._live += 1
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
+        return handle
 
     def peek_time(self) -> Optional[float]:
         """Return the virtual time of the next live event, or ``None``."""
         self._drop_cancelled()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def _drop_cancelled(self) -> None:
         # Cancelled events were removed from the live count at cancel time;
         # this only reclaims their heap slots.
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
 
     def step(self) -> bool:
         """Execute the next live event.  Return ``False`` if none remain."""
-        self._drop_cancelled()
-        if not self._heap:
-            return False
-        event = heapq.heappop(self._heap)
+        # Pop until a live event surfaces: a caller that has just peeked
+        # (``run``) has already discarded any cancelled heads.
+        heap = self._heap
+        while True:
+            if not heap:
+                return False
+            event = heapq.heappop(heap)[2]
+            if not event.cancelled:
+                break
         self._live -= 1
         event.sim = None  # executed: a late cancel() must not re-decrement
         if event.time < self.now:

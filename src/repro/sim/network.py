@@ -108,7 +108,9 @@ class Channel:
         self.sends += 1
         self.src.messages_sent += 1
         self.bytes_sent += size_bytes
-        if self.is_down:
+        sim = self.sim
+        now = sim.now
+        if now < self._down_until:
             self.outage_drops += 1
             return False
         if self.loss_rate > 0:
@@ -117,9 +119,11 @@ class Channel:
                 self.loss_drops += 1
                 return False
         # Enforce FIFO: never deliver before a previously sent packet.
-        arrival = max(self.sim.now + self.delay, self._last_delivery_time)
+        arrival = now + self.delay
+        if arrival < self._last_delivery_time:
+            arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        self.sim.schedule_at(arrival, self._deliver, payload)
+        sim.schedule_at(arrival, self._deliver, payload)
         self.in_flight += 1
         if self.in_flight > self.in_flight_high_water:
             self.in_flight_high_water = self.in_flight

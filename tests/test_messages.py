@@ -102,6 +102,31 @@ def test_certificate_bytes_unchanged(env32):
     )
 
 
+def test_named_constructors_share_one_instance_per_atom():
+    shared = AtomId.overlap(1, 2)
+    assert AtomId.overlap(2, 1) is shared
+    assert AtomId.ingress(3) is AtomId.ingress(3)
+    assert AtomId.ingress(1) is not AtomId.overlap(1, 2)
+    # Direct construction and unpickling give separate, equal objects.
+    for other in (AtomId("overlap", (1, 2)), pickle.loads(pickle.dumps(shared))):
+        assert other is not shared
+        assert other == shared and hash(other) == hash(shared)
+        assert {shared: "x"}[other] == "x"
+
+
+def test_stamp_atoms_is_cached_and_not_a_field():
+    q1, q2 = AtomId.overlap(0, 1), AtomId.overlap(0, 2)
+    stamp = Stamp(0, 1, ((q1, 5), (q2, 6)))
+    assert stamp.atoms == (q1, q2)
+    assert stamp.atoms is stamp.atoms
+    assert stamp == Stamp(0, 1, ((q1, 5), (q2, 6)))
+    assert "atoms=" not in repr(stamp)
+    assert [f.name for f in dataclasses.fields(stamp)] == [
+        "group", "group_seq", "atom_seqs",
+    ]
+    assert Stamp(0, 1).atoms == ()
+
+
 def test_atom_repr():
     assert repr(AtomId.overlap(1, 2)) == "Q(1,2)"
     assert repr(AtomId.ingress(3)) == "I(3)"
@@ -162,6 +187,15 @@ def test_message_atom_stamps_once_per_atom():
     msg.add_atom_seq(q, 1)
     with pytest.raises(ValueError):
         msg.add_atom_seq(q, 2)
+
+
+def test_message_rejects_an_equal_atom_that_is_another_object():
+    msg = Message(1, 0, 2)
+    msg.add_atom_seq(AtomId.overlap(0, 2), 1)
+    msg.add_atom_seq(AtomId.overlap(0, 1), 1)
+    with pytest.raises(ValueError, match="already stamped"):
+        msg.add_atom_seq(AtomId("overlap", (0, 1)), 2)
+    assert [seq for _, seq in msg.atom_seqs] == [1, 1]
 
 
 def test_message_stamp_requires_ingress():

@@ -193,3 +193,61 @@ def test_isolated_runs_have_isolated_latency(env32):
     records = fabric.delivered(3)
     t2 = records[1].time - records[1].publish_time
     assert t1 == pytest.approx(t2)
+
+
+# ---------------------------------------------------------------------------
+# Record and packet types
+# ---------------------------------------------------------------------------
+
+
+def test_delivery_record_is_slotted_frozen_and_still_copyable():
+    import copy
+    import dataclasses
+    import pickle
+
+    from repro.core.messages import Stamp
+    from repro.core.protocol import DeliveryRecord
+
+    record = DeliveryRecord(1.5, Stamp(0, 1), "p", 7, 3, 0.5)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.time = 2.0
+    assert repr(record) == (
+        "DeliveryRecord(time=1.5, stamp=Stamp(group=0, group_seq=1, "
+        "atom_seqs=()), payload='p', msg_id=7, sender=3, publish_time=0.5)"
+    )
+    later = dataclasses.replace(record, time=2.0)
+    assert later.time == 2.0 and later != record
+    for clone in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+        dataclasses.replace(record),
+    ):
+        assert clone == record and hash(clone) == hash(record)
+
+
+def test_packets_are_slotted_and_keep_their_defaults():
+    from repro.core.messages import Stamp
+    from repro.core.protocol import (
+        AckPacket,
+        DataPacket,
+        DeliverPacket,
+        HeartbeatPing,
+        HeartbeatPong,
+        HopPacket,
+        StabilityAck,
+        StableNotice,
+    )
+
+    packet = DeliverPacket(
+        stamp=Stamp(0, 1), payload=None, msg_id=1, sender=0, publish_time=0.0, dest=2
+    )
+    assert packet.egress_node == -1
+    assert packet == DeliverPacket(Stamp(0, 1), None, 1, 0, 0.0, 2, -1)
+    assert repr(packet).endswith("dest=2, egress_node=-1)")
+    for cls in (
+        AckPacket, DataPacket, DeliverPacket, HeartbeatPing, HeartbeatPong,
+        HopPacket, StabilityAck, StableNotice,
+    ):
+        assert "__dict__" not in dir(cls), cls

@@ -241,6 +241,14 @@ def test_tree_link_sharing_gain(routing):
     assert tree.link_count() <= tree.unicast_link_count()
 
 
+def test_tree_unicast_link_count_sums_the_member_paths(routing):
+    members = [40, 41, 42, 43, 44, 0]
+    tree = DeliveryTree(routing, root=0, members=members)
+    assert tree.unicast_link_count() == sum(
+        len(routing.path(0, member)) - 1 for member in members
+    )
+
+
 def test_tree_root_member(routing):
     tree = DeliveryTree(routing, root=7, members=[7])
     assert tree.delay_to(7) == 0.0
