@@ -63,6 +63,7 @@ from repro.check.explore import (
 )
 from repro.check.invariants import (
     DeliveredEntry,
+    Delivery,
     PublishedEntry,
     RunView,
     as_run_view,
@@ -76,6 +77,7 @@ __all__ = [
     "CERTIFICATE_FORMAT",
     "CheckReport",
     "DeliveredEntry",
+    "Delivery",
     "EpochLog",
     "ExploreConfig",
     "ExploreResult",

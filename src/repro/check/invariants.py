@@ -40,7 +40,21 @@ Checks (``RT3xx`` codes, tool ``runtime-verify``):
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro.check.findings import Finding
 
@@ -59,8 +73,29 @@ MAX_FINDINGS_PER_CHECK = 25
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeliveredEntry:
+class Delivery(Protocol):
+    """What the checks read of one application delivery.
+
+    A :class:`DeliveredEntry` (views built from a record stream) and the
+    fabric's own :class:`~repro.core.protocol.DeliveryRecord` (a finished
+    fabric is audited in place, :func:`fabric_view`) both provide it.
+    """
+
+    @property
+    def msg_id(self) -> int: ...
+
+    @property
+    def group(self) -> int: ...
+
+    @property
+    def sender(self) -> int: ...
+
+    @property
+    def time(self) -> float:
+        """When the receiver delivered (not published) the message."""
+
+
+class DeliveredEntry(NamedTuple):
     """One application delivery as the auditors see it."""
 
     msg_id: int
@@ -70,8 +105,7 @@ class DeliveredEntry:
     time: float
 
 
-@dataclass(frozen=True)
-class PublishedEntry:
+class PublishedEntry(NamedTuple):
     """One published message as the auditors see it."""
 
     msg_id: int
@@ -93,7 +127,7 @@ class RunView:
     """
 
     #: host -> application deliveries in delivery order
-    delivered: Dict[int, List[DeliveredEntry]]
+    delivered: Dict[int, Sequence[Delivery]]
     #: group -> member set
     membership: Dict[int, FrozenSet[int]]
     #: msg_id -> publication facts (fences excluded)
@@ -118,13 +152,15 @@ RunLike = Union["OrderingFabric", RunView]
 
 
 def fabric_view(fabric: "OrderingFabric") -> RunView:
-    """Project a finished fabric into a :class:`RunView`."""
+    """Project a finished fabric into a :class:`RunView`.
+
+    The delivery logs are the fabric's own records (each list copied, no
+    entry rebuilt): an audit that allocates nothing per delivery leaves
+    the garbage collector nothing to scan the run's heap for.
+    """
     return RunView(
         delivered={
-            host_id: [
-                DeliveredEntry(r.msg_id, r.stamp.group, r.sender, r.time)
-                for r in process.delivered
-            ]
+            host_id: list(process.delivered)
             for host_id, process in fabric.host_processes.items()
         },
         membership={
@@ -280,23 +316,106 @@ def check_publisher_fifo(run: RunLike) -> List[Finding]:
     return findings
 
 
+class _DeliveryIndex:
+    """Where every host delivered every message, grouped by message.
+
+    ``maps[host]`` is the position of each message in the host's log (of
+    its last delivery, for a message delivered twice).  ``msgs``, ``rows``
+    and ``positions`` hold the same facts as parallel arrays sorted by
+    message id, so "where did each host deliver these messages" is one
+    gather (:meth:`positions_of`) instead of a dict probe per host and
+    message.  ``rows`` index :attr:`hosts`, which is sorted.
+    """
+
+    def __init__(self, view: RunView):
+        self.hosts = view.hosts()
+        self.maps: Dict[int, Dict[int, int]] = {
+            host_id: {
+                r.msg_id: position
+                for position, r in enumerate(view.delivered[host_id])
+            }
+            for host_id in self.hosts
+        }
+        maps = self.maps.values()
+        msgs = np.fromiter(
+            (msg_id for positions in maps for msg_id in positions), np.int64
+        )
+        by_msg = np.argsort(msgs, kind="stable")
+        self.msgs = msgs[by_msg]
+        self.rows = np.repeat(
+            np.arange(len(self.hosts), dtype=np.int32),
+            [len(positions) for positions in maps],
+        )[by_msg]
+        self.positions = np.fromiter(
+            (p for positions in maps for p in positions.values()), np.int32
+        )[by_msg]
+
+    def deliveries_of(
+        self, msg_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every delivery of each of ``msg_ids``, as parallel arrays: the
+        host's row, the index into ``msg_ids``, the position in the host's
+        log.  A message nobody delivered contributes nothing."""
+        begin = np.searchsorted(self.msgs, msg_ids, "left")
+        count = np.searchsorted(self.msgs, msg_ids, "right") - begin
+        which = np.repeat(np.arange(len(msg_ids)), count)
+        # The j-th delivery of msg_ids[i] sits at begin[i] + j.
+        flat = np.arange(len(which)) + np.repeat(
+            begin - (np.cumsum(count) - count), count
+        )
+        return self.rows[flat], which, self.positions[flat]
+
+    def positions_of(self, msg_ids: np.ndarray) -> np.ndarray:
+        """``table[row, i]``: where host ``row`` delivered ``msg_ids[i]``,
+        -1 where it did not."""
+        table = np.full((len(self.hosts), len(msg_ids)), -1, dtype=np.int32)
+        rows, which, positions = self.deliveries_of(msg_ids)
+        table[rows, which] = positions
+        return table
+
+
+def _msg_ids(entries: Iterable[Union[Delivery, PublishedEntry]]) -> np.ndarray:
+    return np.fromiter((entry.msg_id for entry in entries), np.int64)
+
+
 def check_mutual_consistency(run: RunLike) -> List[Finding]:
-    """RT305: pairwise agreement on the order of commonly delivered messages."""
+    """RT305: pairwise agreement on the order of commonly delivered messages.
+
+    Two hosts that each delivered every message at most once agree iff,
+    read along one host's log, the other's positions of the same messages
+    only rise — one running maximum over a positions table per host tells
+    that for all of its partners.  Only the pairs it flags, and pairs with
+    a host that delivered something twice, are compared message by message.
+    """
     view = as_run_view(run)
     findings: List[Finding] = []
-    host_ids = view.hosts()
-    orders = {h: _delivered_ids(view, h) for h in host_ids}
-    for i, a in enumerate(host_ids):
-        seq_a = orders[a]
-        set_a = set(seq_a)
-        for b in host_ids[i + 1 :]:
-            seq_b = orders[b]
-            common = set_a & set(seq_b)
-            if not common:
-                continue
-            ordered_a = [m for m in seq_a if m in common]
-            ordered_b = [m for m in seq_b if m in common]
-            if ordered_a != ordered_b:
+    index = _DeliveryIndex(view)
+    host_ids = index.hosts
+    repeated = [
+        len(index.maps[host_id]) != len(view.delivered[host_id])
+        for host_id in host_ids
+    ]
+
+    def common_order(host_id: int, other: int) -> List[int]:
+        theirs = index.maps[other]
+        return [r.msg_id for r in view.delivered[host_id] if r.msg_id in theirs]
+
+    for row, a in enumerate(host_ids):
+        later = range(row + 1, len(host_ids))
+        if repeated[row]:
+            suspects: Iterable[int] = later
+        else:
+            seen = index.positions_of(_msg_ids(view.delivered[a]))[row + 1 :]
+            highest = np.maximum.accumulate(seen, axis=1)
+            falls = ((seen[:, 1:] >= 0) & (seen[:, 1:] < highest[:, :-1])).any(
+                axis=1
+            )
+            suspects = [
+                other for other in later if falls[other - row - 1] or repeated[other]
+            ]
+        for other in suspects:
+            b = host_ids[other]
+            if common_order(a, b) != common_order(b, a):
                 findings.append(
                     _finding(
                         "RT305",
@@ -318,44 +437,63 @@ def check_causal_order(run: RunLike) -> List[Finding]:
     delivering both must deliver the dependency first.  Deliveries at the
     same virtual instant as the publish are skipped (ordering within one
     instant is not observable from the logs).
+
+    The dependencies of ``m'`` are a prefix of its publisher's log taken
+    in time order, so a host breaks the rule for ``m'`` iff the latest
+    position at which it delivered any message of that prefix lies after
+    its position of ``m'``: one running maximum per publisher finds every
+    offending (message, host); only those name their dependencies.
     """
     view = as_run_view(run)
-    findings: List[Finding] = []
-    positions: Dict[int, Dict[int, int]] = {
-        host_id: {
-            r.msg_id: index
-            for index, r in enumerate(view.delivered.get(host_id, []))
-        }
-        for host_id in view.hosts()
-    }
-    for msg_id in sorted(view.published):
-        message = view.published[msg_id]
-        dependencies = [
-            r.msg_id
-            for r in view.delivered.get(message.sender, [])
-            if r.time < message.publish_time
-        ]
-        if not dependencies:
+    index = _DeliveryIndex(view)
+    by_sender: Dict[int, List[PublishedEntry]] = {}
+    for message in view.published.values():
+        by_sender.setdefault(message.sender, []).append(message)
+    offending: List[Tuple[int, int]] = []
+    for sender, messages in by_sender.items():
+        log = view.delivered.get(sender)
+        if not log:
             continue
-        for host_id in sorted(positions):
-            pos = positions[host_id]
-            if msg_id not in pos:
-                continue
-            for dep in dependencies:
-                dep_pos = pos.get(dep)
-                if dep_pos is not None and dep_pos > pos[msg_id]:
-                    findings.append(
-                        _finding(
-                            "RT306",
-                            f"host {host_id} delivered {msg_id} before its "
-                            f"causal dependency {dep} (publisher "
-                            f"{message.sender} delivered {dep} before "
-                            f"publishing {msg_id})",
-                            f"host {host_id}",
-                        )
+        times = np.fromiter((r.time for r in log), np.float64)
+        by_time = np.argsort(times, kind="stable")
+        # Per message, how many of the sender's deliveries it depends on.
+        prefix = np.searchsorted(
+            times[by_time], [m.publish_time for m in messages], "left"
+        )
+        if not prefix.any():
+            continue
+        latest = np.maximum.accumulate(
+            index.positions_of(_msg_ids(log)[by_time][: prefix.max()]), axis=1
+        )
+        published = _msg_ids(messages)
+        rows, which, positions = index.deliveries_of(published)
+        needs = prefix[which]
+        late = (needs > 0) & (latest[rows, needs - 1] > positions)
+        offending.extend(
+            zip(published[which[late]].tolist(), rows[late].tolist())
+        )
+    findings: List[Finding] = []
+    for msg_id, row in sorted(offending):
+        host_id = index.hosts[row]
+        position = index.maps[host_id]
+        message = view.published[msg_id]
+        for r in view.delivered[message.sender]:
+            if (
+                r.time < message.publish_time
+                and position.get(r.msg_id, -1) > position[msg_id]
+            ):
+                findings.append(
+                    _finding(
+                        "RT306",
+                        f"host {host_id} delivered {msg_id} before its "
+                        f"causal dependency {r.msg_id} (publisher "
+                        f"{message.sender} delivered {r.msg_id} before "
+                        f"publishing {msg_id})",
+                        f"host {host_id}",
                     )
-                    if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                        return findings
+                )
+                if len(findings) >= MAX_FINDINGS_PER_CHECK:
+                    return findings
     return findings
 
 
@@ -414,8 +552,7 @@ def verify_run(
         Check publish-after-deliver causality (RT306); valid when
         publishers subscribe to the groups they publish to.
     mutual:
-        Check pairwise cross-group agreement (RT305); quadratic in hosts,
-        so very large sweeps may want it off.
+        Check pairwise cross-group agreement (RT305).
 
     Returns the (possibly empty) list of findings, deterministic in order.
     """

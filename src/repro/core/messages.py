@@ -99,10 +99,17 @@ class AtomId:
         """Whether this atom assigns sequence numbers to ``group``."""
         return group in self.groups
 
-    def __repr__(self) -> str:
+    @cached_property
+    def label(self) -> str:
+        """``I(g)`` or ``Q(g,h)``: the atom's ``repr`` and its name in
+        trace records, formatted on first use and kept (every traced atom
+        visit writes it; like ``_hash`` it is not a field)."""
         if self.is_ingress_only:
             return f"I({self.groups[0]})"
         return f"Q({self.groups[0]},{self.groups[1]})"
+
+    def __repr__(self) -> str:
+        return self.label
 
 
 @dataclass(frozen=True)

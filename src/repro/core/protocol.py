@@ -301,6 +301,13 @@ class DeliveryRecord:
     sender: int
     publish_time: float
 
+    @property
+    def group(self) -> int:
+        """The destination group — with ``msg_id``, ``sender`` and ``time``
+        what :func:`repro.check.verify_run` reads of a delivery, so a
+        finished fabric's logs are audited without being copied."""
+        return self.stamp.group
+
     def __reduce__(self) -> Tuple[Any, ...]:
         # Frozen and slotted: the default reconstruction assigns the slots
         # one by one, which a frozen dataclass refuses.
@@ -662,7 +669,7 @@ class SequencingNodeProcess(Process):
                 "seq_hop",
                 msg=message.msg_id,
                 node=self.node_id,
-                atom=repr(atom_id),
+                atom=atom_id.label,
             )
         runtimes = self.atom_runtimes
         current = atom_id
@@ -707,7 +714,7 @@ class SequencingNodeProcess(Process):
                 "atom_pass",
                 msg=message.msg_id,
                 node=self.node_id,
-                atom=repr(current),
+                atom=current.label,
             )
         else:
             self.fabric.trace.record(
@@ -715,7 +722,7 @@ class SequencingNodeProcess(Process):
                 "atom_seq",
                 msg=message.msg_id,
                 node=self.node_id,
-                atom=repr(current),
+                atom=current.label,
                 seq=seq,
                 group_seq=group_seq,
             )

@@ -51,6 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     FrozenSet,
@@ -166,6 +167,19 @@ class LiveMonitor:
         self.epoch: Optional[int] = None
         self._trace: Optional[Any] = None
         self._fault_window = fault_window
+        #: record kind -> what consumes it
+        self._handlers: Dict[str, Callable[[TraceRecord], None]] = {
+            "deliver": self._on_deliver,
+            "buffer": self._on_buffer,
+            "drain": self._on_drain,
+            "publish": self._on_publish,
+            "distribute": self.latency.observe,
+            "atom_seq": self._on_atom_seq,
+            "retransmit": self._on_retransmit,
+            "link_failure": self._on_link_failure,
+            "epoch_fence": self._on_epoch_fence,
+            "epoch_switch": self._on_epoch_switch,
+        }
         self._reset_stream_state()
         self._reset_audit_state()
 
@@ -201,8 +215,30 @@ class LiveMonitor:
     def adopt_membership(
         self, membership: Dict[int, FrozenSet[int]]
     ) -> None:
-        """Set the group->members map the monitors check against."""
+        """Set the group->members map the monitors check against.
+
+        Mid-stream, the new member set is in force from the next record
+        on.  A group's order window follows it: a removed member's
+        position is forgotten (it can no longer hold the window open), a
+        joined member starts at the head of the agreed order — it is not
+        expected to deliver what was agreed before it joined, and so
+        cannot hold the window open either — and every remaining member
+        keeps its position, so nothing it has yet to pass is trimmed.
+        """
+        previous = self.membership
         self.membership = dict(membership)
+        for group, window in self._order_window.items():
+            before = previous.get(group, frozenset())
+            after = self.membership.get(group, frozenset())
+            if before == after:
+                continue
+            for member in before - after:
+                self._order_ptr.pop((group, member), None)
+            head = self._order_base[group] + len(window)
+            for member in after - before:
+                self._order_ptr[(group, member)] = head
+            # Counts members per position: rebuilt on the next delivery.
+            self._order_at.pop(group, None)
 
     def _reset_stream_state(self) -> None:
         #: group -> agreed delivery order window (trimmed prefix)
@@ -211,6 +247,10 @@ class LiveMonitor:
         self._order_base: Dict[int, int] = {}
         #: (group, host) -> deliveries seen for the group at the host
         self._order_ptr: Dict[Tuple[int, int], int] = {}
+        #: group -> {position: members whose next delivery is that one},
+        #: so the slowest member is the smallest key; made on the group's
+        #: first delivery
+        self._order_at: Dict[int, Dict[int, int]] = {}
         #: host -> messages inside the duplicate-confirmation window
         self._seen: Dict[int, Set[int]] = {}
         #: msg -> deliveries counted toward full-group confirmation
@@ -248,31 +288,25 @@ class LiveMonitor:
 
     def observe(self, record: TraceRecord) -> None:
         """Consume one trace record (the trace-subscriber entry point)."""
-        self.now = record.time
-        kind = record.kind
-        if kind == "deliver":
-            self._on_deliver(record)
-        elif kind == "buffer":
-            self._on_buffer(record)
-        elif kind == "drain":
-            self._on_drain(record)
-        elif kind == "publish":
-            self._on_publish(record)
-        elif kind == "distribute":
-            self.latency.observe(record)
-        elif kind == "atom_seq":
-            group_seq = record.data.get("group_seq")
-            if group_seq is not None:
-                self._msg_group_seq[int(record.data["msg"])] = int(group_seq)
-        elif kind == "retransmit":
-            self._recent_faults.append((record.time, str(record.data["cause"])))
-        elif kind == "link_failure":
-            self._recent_faults.append((record.time, CAUSE_LINK_FAILURE))
-        elif kind == "epoch_fence":
-            self._on_epoch_fence(record)
-        elif kind == "epoch_switch":
-            self._on_epoch_switch(record)
-        self._expire_stalls(record.time)
+        now = self.now = record.time
+        # Most records are of kinds no monitor reads (atom visits, hops).
+        handler = self._handlers.get(record.kind)
+        if handler is not None:
+            handler(record)
+        stalls = self._stall_heap
+        if stalls and stalls[0][0] <= now:
+            self._expire_stalls(now)
+
+    def _on_atom_seq(self, record: TraceRecord) -> None:
+        group_seq = record.data.get("group_seq")
+        if group_seq is not None:
+            self._msg_group_seq[int(record.data["msg"])] = int(group_seq)
+
+    def _on_retransmit(self, record: TraceRecord) -> None:
+        self._recent_faults.append((record.time, str(record.data["cause"])))
+
+    def _on_link_failure(self, record: TraceRecord) -> None:
+        self._recent_faults.append((record.time, CAUSE_LINK_FAILURE))
 
     def _on_publish(self, record: TraceRecord) -> None:
         self.published_total += 1
@@ -374,15 +408,37 @@ class LiveMonitor:
                 f"group {group}",
             )
         self._order_ptr[(group, host)] = position + 1
-        # Trim the prefix every member has passed (bounded window).
-        slowest = min(
-            self._order_ptr.get((group, member), 0) for member in members
-        )
+        # Trim the prefix every member has passed (bounded window).  The
+        # window is always trimmed up to the slowest member, so ``base``
+        # is that member's position; members move one position at a time,
+        # so when the last one standing there leaves, the next is slowest.
+        at = self._order_at.get(group)
+        if at is None:
+            at = self._order_at[group] = self._members_at(group, members)
+            slowest = min(at)
+        else:
+            left = at[position] - 1
+            if left:
+                at[position] = left
+            else:
+                del at[position]
+            at[position + 1] = at.get(position + 1, 0) + 1
+            slowest = base if left or position != base else base + 1
         if slowest > base:
             trim = min(slowest - base, len(window))
             if trim:
                 del window[:trim]
                 self._order_base[group] = base + trim
+
+    def _members_at(
+        self, group: int, members: FrozenSet[int]
+    ) -> Dict[int, int]:
+        """How many of ``members`` stand at each position of ``group``."""
+        at: Dict[int, int] = {}
+        for member in members:
+            position = self._order_ptr.get((group, member), 0)
+            at[position] = at.get(position, 0) + 1
+        return at
 
     def _confirm_delivery(self, msg: int, group: int) -> None:
         """Evict per-message state once every group member delivered."""

@@ -31,15 +31,26 @@ alias.)
 """
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Union,
+)
 
 __all__ = ["Trace", "TraceRecord"]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """A single traced occurrence.
+class TraceRecord(NamedTuple):
+    """A single traced occurrence: immutable, compared field by field.
+
+    A traced run keeps one of these per record (a quarter of a million on
+    the benchmark deployment), so it is a tuple — one allocation, no
+    per-field ``object.__setattr__`` as a frozen dataclass pays.
 
     Attributes
     ----------
@@ -55,7 +66,12 @@ class TraceRecord:
 
     time: float
     kind: str
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
+
+
+#: ``TraceRecord(time, kind, data)`` without the generated ``__new__``'s
+#: Python frame: :meth:`Trace.record` runs once per record.
+_new_record = tuple.__new__
 
 
 class Trace:
@@ -104,7 +120,7 @@ class Trace:
             profiler.enter("trace")
         else:
             profiler = None
-        rec = TraceRecord(time, kind, data)
+        rec = _new_record(TraceRecord, (time, kind, data))
         self._records.append(rec)
         if self._by_kind is not None:
             index = self._by_kind.get(kind)

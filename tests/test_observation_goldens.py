@@ -1,0 +1,180 @@
+"""Goldens of an observed run, and the ``TraceRecord`` contract.
+
+The golden values were recorded on the commit before observation was made
+cheap (tuple trace records, atom labels kept per ``AtomId``, the linear
+audit, the O(1) order window) and verified to pass against that commit's
+``src``: what an observer is *told* — every record, every alert, every
+finding, every report byte — may not change with what it costs.
+(``repro explain --stalls`` is pinned by ``test_hot_path_goldens``.)
+"""
+
+import copy
+import hashlib
+import json
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import cli
+from repro.obs.exporters import trace_from_jsonl, trace_to_jsonl
+from repro.obs.live.top import read_trace_jsonl
+from repro.runtime.trace import Trace, TraceRecord
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHAOS = [
+    "chaos", "--hosts", "24", "--groups", "8", "--events", "80", "--seed", "7",
+    "--live-monitor", "--format", "json",
+]
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_traced_run_exports_unchanged(tmp_path, capsys):
+    jsonl, chrome = tmp_path / "run.jsonl", tmp_path / "run.trace.json"
+    assert cli.main([
+        "trace", "run", "--hosts", "24", "--groups", "6", "--events", "40",
+        "--out", str(jsonl), "--chrome", str(chrome),
+    ]) == 0
+    capsys.readouterr()
+    assert (
+        sha256(jsonl)
+        == "a52b3650f34ddcea68b27ccadb87ea43291381c7f40d83dfc30a3612d466d800"
+    )
+    assert (
+        sha256(chrome)
+        == "85a252fcc9ee5f4a321672a2272d2000431d83acd15da085df23eb8400f046a7"
+    )
+    labels = {
+        json.loads(line)["data"].get("atom")
+        for line in jsonl.read_text().splitlines()
+    }
+    assert {"Q(0,1)", "Q(1,4)"} <= labels
+    # Both readers give back the records the export was written from.
+    records = read_trace_jsonl(str(jsonl))
+    assert records == trace_from_jsonl(jsonl.read_text())
+    assert trace_to_jsonl(records) + "\n" == jsonl.read_text()
+
+
+def test_chaos_live_monitor_report_bytes_unchanged(tmp_path, capsys):
+    out = tmp_path / "chaos.json"
+    assert cli.main(CHAOS + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (
+        sha256(out)
+        == "8f0f4b0775936326eef8fe37e91a75e174aa3b6a08509e8c7a32145a25b8d68b"
+    )
+    live = json.loads(out.read_text())["reports"][0]["live_monitor"]
+    assert live["agrees_with_audit"] is True
+    assert live["violations"] == 0 and live["findings"] == []
+    assert {alert["rule"] for alert in live["alerts"]} == {"LM303"}
+    assert len(live["alerts"]) == 39
+
+
+def test_dup_delivery_mutation_verdict_unchanged(tmp_path, capsys):
+    out = tmp_path / "mutated.json"
+    assert cli.main(
+        CHAOS + ["--monitor-mutate", "dup-delivery", "--out", str(out)]
+    ) == 1
+    capsys.readouterr()
+    assert (
+        sha256(out)
+        == "3c89263f0b048207be89f5cb66fcc20e47412991f9c72f5cfe46fab81c29d896"
+    )
+    report = json.loads(out.read_text())["reports"][0]
+    codes = [finding["code"] for finding in report["findings"]]
+    assert codes == ["RT300"] * 8 + ["RT301"] + ["RT305"] * 8
+    live = report["live_monitor"]
+    assert live["agrees_with_audit"] is True
+    assert (len(live["alerts"]), live["violations"]) == (119, 80)
+    assert live["findings"] == report["findings"]
+
+
+_SIM_OBSERVED = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+spec = next(s for s in workloads.SIM_SPECS if s.name == "sim_observed")
+bed = workloads.SimBed(spec)
+traffic = workloads.Traffic(bed, 0, workloads.Completion())
+for _ in range(workloads.planned_rounds(spec, 8.0)):
+    traffic.round(spec.round_msgs, spec.gap_ms)
+counts = {}
+digest = hashlib.sha256()
+for record in bed.fabric.trace:
+    counts[record.kind] = counts.get(record.kind, 0) + 1
+    digest.update(
+        json.dumps([record.time, record.kind, record.data], sort_keys=True).encode()
+    )
+print(json.dumps({
+    "records": len(bed.fabric.trace), "counts": counts,
+    "sha256": digest.hexdigest(), "alerts": len(bed.monitor.alerts),
+    "window": sum(map(len, bed.monitor._order_window.values())),
+}))
+"""
+
+
+def test_sim_observed_trace_records_unchanged():
+    """The benchmark's observed workload, seed 0: every record of the run
+    (in a child process: ``bench/`` is not a package)."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SIM_OBSERVED, str(ROOT / "bench")],
+        capture_output=True, text=True, cwd=str(ROOT), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == {
+        "records": 263532,
+        "counts": {
+            "publish": 4390, "seq_hop": 26488, "atom_seq": 29922,
+            "atom_pass": 121454, "distribute": 4390, "deliver": 63640,
+            "buffer": 6624, "drain": 6624,
+        },
+        "sha256": "3a746fe9ebe471e4aaa4dddfe11015b9108ec16d98cc51d89adf67fecd9d6fef",
+        "alerts": 0,
+        "window": 0,
+    }
+
+
+# ---------------------------------------------------------------------------
+# TraceRecord
+# ---------------------------------------------------------------------------
+
+
+def test_trace_record_fields_and_equality():
+    record = TraceRecord(1.5, "deliver", {"msg": 3, "host": 1})
+    assert (record.time, record.kind, record.data) == (1.5, "deliver", {"msg": 3, "host": 1})
+    assert record == TraceRecord(1.5, "deliver", {"host": 1, "msg": 3})
+    assert record != TraceRecord(1.5, "deliver", {"msg": 4, "host": 1})
+    assert record != TraceRecord(2.5, "deliver", {"msg": 3, "host": 1})
+    assert record != TraceRecord(1.5, "drain", {"msg": 3, "host": 1})
+    assert TraceRecord(time=1.5, kind="deliver", data={}) == TraceRecord(1.5, "deliver", {})
+
+
+def test_trace_record_is_immutable():
+    record = TraceRecord(1.5, "deliver", {"msg": 3})
+    for name in ("time", "kind", "data", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+def test_trace_record_pickles_and_copies():
+    record = TraceRecord(1.5, "buffer", {"msg": 3, "blocked_on": "Q(0,1)"})
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert type(pickle.loads(pickle.dumps(record))) is TraceRecord
+    duplicate = copy.deepcopy(record)
+    assert duplicate == record and duplicate.data is not record.data
+
+
+def test_trace_hands_subscribers_the_record_it_keeps():
+    trace = Trace()
+    seen = []
+    trace.subscribe(seen.append)
+    trace.record(2.0, "publish", msg=1, group=0, sender=4)
+    (kept,) = trace.select("publish")
+    assert seen == [kept] and seen[0] is kept
+    assert kept == TraceRecord(2.0, "publish", {"msg": 1, "group": 0, "sender": 4})
