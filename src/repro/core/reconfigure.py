@@ -447,6 +447,6 @@ def reconfigure(
     fabric.epoch_switch_stats = stats
     # The old epoch's backend is done executing (quiescent, or drained to
     # its fences); release its resources — a no-op for the simulated
-    # backend, pump-task teardown for the live one.
+    # backend, disarming the loop timer for the live one.
     fabric.runtime.close()
     return next_fabric

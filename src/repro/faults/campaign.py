@@ -343,9 +343,7 @@ def execute_campaign(
             "alerts": [alert.to_dict() for alert in monitor.alerts],
             "alerts_dropped": monitor.alerts_dropped,
             "violations": monitor.violations,
-            "warnings": sum(
-                1 for alert in monitor.alerts if alert.severity == "warning"
-            ),
+            "warnings": monitor.warnings,
             "findings": live_dicts,
             # The streamed audit view must reproduce the fabric audit's
             # verdicts exactly (RT310 non-quiescence is simulator state,

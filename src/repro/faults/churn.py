@@ -688,9 +688,7 @@ def execute_churn_campaign(
             "alerts": [alert.to_dict() for alert in monitor.alerts],
             "alerts_dropped": monitor.alerts_dropped,
             "violations": monitor.violations,
-            "warnings": sum(
-                1 for alert in monitor.alerts if alert.severity == "warning"
-            ),
+            "warnings": monitor.warnings,
             "epoch_agreement": epoch_agreement,
             "agrees_with_audit": all(
                 entry["agrees"] for entry in epoch_agreement

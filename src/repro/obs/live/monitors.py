@@ -160,6 +160,10 @@ class LiveMonitor:
         self.latency = PhaseLatencyTracker(registry)
         self.alerts: List[MonitorAlert] = []
         self.alerts_dropped = 0
+        #: error- / warning-severity alerts raised so far, retained or
+        #: dropped: a verdict never depends on how many alerts are kept
+        self.violations = 0
+        self.warnings = 0
         self.membership: Dict[int, FrozenSet[int]] = {}
         self.published_total = 0
         self.delivered_total = 0
@@ -565,6 +569,10 @@ class LiveMonitor:
         cause: Optional[str] = None,
         evidence: Optional[Dict[str, int]] = None,
     ) -> None:
+        if severity == "error":
+            self.violations += 1
+        else:
+            self.warnings += 1
         if len(self.alerts) >= self.max_alerts:
             self.alerts_dropped += 1
             return
@@ -579,11 +587,6 @@ class LiveMonitor:
                 evidence=evidence or {},
             )
         )
-
-    @property
-    def violations(self) -> int:
-        """Number of error-severity alerts raised so far."""
-        return sum(1 for alert in self.alerts if alert.severity == "error")
 
     def holdback_occupancy(self) -> Dict[int, int]:
         """Hosts with messages currently parked in hold-back buffers."""

@@ -14,8 +14,8 @@ Two backends implement the interface:
 * :class:`~repro.runtime.sim_backend.SimTransport` — the discrete-event
   simulator (default; deterministic, byte-identical on fixed seeds);
 * :class:`~repro.runtime.asyncio_backend.AsyncioTransport` — a live
-  runtime where hosts and sequencing nodes are asyncio tasks over
-  in-process queues, fronted by the TCP service façade in
+  runtime: one timer heap on an asyncio event loop against scaled wall
+  time, fronted by the TCP service façade in
   :mod:`repro.runtime.service`.
 
 Backend classes are re-exported lazily: ``repro.runtime.sim_backend``

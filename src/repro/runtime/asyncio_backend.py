@@ -1,11 +1,8 @@
 """The live asyncio runtime backend.
 
 :class:`AsyncioTransport` runs the *same* protocol core as the simulator,
-but for real: every registered process (host, sequencing node, failure
-detector) becomes an asyncio task draining an in-process inbox queue,
-timers run on an event loop instead of a virtual-time heap, and the clock
-is scaled monotonic wall time (see
-:class:`~repro.runtime.wallclock.LiveClock`).  A TCP service façade on
+but for real: on an event loop, against scaled monotonic wall time
+(:class:`~repro.runtime.wallclock.LiveClock`).  The TCP service façade on
 top of this backend lives in :mod:`repro.runtime.service`.
 
 Design notes
@@ -21,25 +18,35 @@ Design notes
   protocol core, the metrics hooks, and the failover machinery run
   unmodified.
 
-* **FIFO is structural, not timer-ordered.**  Event-loop timers near a
-  tie can fire out of order (deadlines are computed from clock reads at
-  different instants).  Each channel therefore keeps its own payload
-  deque: ``send`` appends and schedules an arrival timer, the arrival
-  handler pops the *head* — whichever timer fired, the payloads come out
-  in send order, preserving the FIFO channel assumption the sequencing
-  proof depends on (paper §3.1).
+* **One heap, one armed loop timer, direct dispatch.**  The scheduler
+  keeps its own ``(deadline, seq, handle)`` heap (the
+  :mod:`repro.sim.events` layout, lazy deletion of cancelled handles) and
+  asks the event loop for one wake-up, for the heap's head.  A wake-up
+  reads the clock once and fires everything due at that reading — an
+  arriving packet goes straight to its destination's ``receive``; events
+  the batch itself schedules wait for the next wake-up, so socket I/O
+  gets a turn between batches.  A head due in less than
+  :data:`SELECT_GRANULARITY` is polled (``call_soon``), not slept on.
 
-* **Documented divergences from the simulator.**  ``schedule_at`` clamps
-  a just-passed deadline to "now" instead of raising (the live clock
-  advances between computing an arrival time and scheduling it);
-  ``run(until=...)`` returns with later timers still pending, but wall
-  time keeps advancing between calls; ``max_events`` is a soft bound
-  checked between poll intervals.
+* **FIFO is structural: it is heap order.**  A channel's arrival times
+  never decrease (``max(now + delay, last arrival)``) and ``seq`` grows
+  with every push, so two packets of one channel leave the heap in send
+  order whatever the wall clock does — the FIFO channel assumption the
+  sequencing proof depends on (paper §3.1) needs no per-channel queue.
+
+* **Documented divergences from the simulator.**  ``schedule_at``
+  accepts a deadline the clock has already passed (the live clock
+  advances between computing an arrival time and scheduling it; it is
+  due at the next wake-up); ``run(until=...)`` returns with later timers
+  still pending, but wall time keeps advancing between calls;
+  ``max_events`` is a soft bound checked between poll intervals.
 """
 
 import asyncio
 import random
-from collections import deque
+from heapq import heappop, heappush
+from math import inf
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
 )
@@ -52,39 +59,45 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.runtime.node import Process
     from repro.runtime.trace import Trace
 
-__all__ = [
-    "AsyncioChannel",
-    "AsyncioNetwork",
-    "AsyncioScheduler",
-    "AsyncioTransport",
-]
+__all__ = ["AsyncioChannel", "AsyncioNetwork", "AsyncioScheduler", "AsyncioTransport"]
 
 #: default ceiling on real seconds one ``run()`` call may consume before
 #: raising — a safety net so a live-runtime bug cannot hang CI forever
 DEFAULT_RUN_WALL_LIMIT = 60.0
 
+#: real seconds below which the heap's head is polled instead of slept
+#: on: ``selectors`` rounds every timeout *up* to a whole millisecond.
+#: The loop spins while such a timer is pending (never when idle); see
+#: docs/RUNTIME.md "Choosing ``time_scale``".
+SELECT_GRANULARITY = 0.001
+
 
 class _TimerHandle:
     """A cancellable reference to a scheduled live timer."""
 
-    __slots__ = ("_scheduler", "_timer", "_done")
+    __slots__ = ("callback", "args", "_scheduler")
 
-    def __init__(self, scheduler: "AsyncioScheduler") -> None:
-        self._scheduler = scheduler
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._done = False
+    def __init__(
+        self, scheduler: "AsyncioScheduler", callback: Callable[..., None], args: Any
+    ) -> None:
+        self.callback = callback
+        self.args = args
+        #: cleared when the timer fires or is cancelled, so a late
+        #: ``cancel()`` cannot decrement the live count twice
+        self._scheduler: Optional["AsyncioScheduler"] = scheduler
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent."""
-        if not self._done:
-            self._done = True
-            if self._timer is not None:
-                self._timer.cancel()
-            self._scheduler._live -= 1
+        scheduler = self._scheduler
+        if scheduler is not None:
+            self._scheduler = None
+            scheduler._live -= 1
+            if scheduler._live == 0:
+                scheduler._wake()
 
 
 class AsyncioScheduler:
-    """Timer service over an asyncio event loop with a scaled live clock.
+    """Timer heap over an asyncio event loop with a scaled live clock.
 
     The unit of ``now`` and of every delay is the project's virtual
     millisecond; ``clock.time_scale`` maps it to real seconds (see
@@ -94,97 +107,139 @@ class AsyncioScheduler:
     def __init__(self, loop: asyncio.AbstractEventLoop, clock: LiveClock):
         self._loop = loop
         self.clock = clock
+        self._heap: List[Tuple[float, int, _TimerHandle]] = []
+        self._seq = 0
         self.events_executed = 0
         #: live (not-yet-fired, not-cancelled) timers
         self._live = 0
         #: peak concurrent live timers (the live analogue of heap depth)
         self.heap_high_water = 0
-        #: sampling-profiler fields kept for simulator parity (the live
-        #: backend does not sample callback wall time — wall time *is*
-        #: the clock here)
-        self.callbacks_sampled = 0
-        self.callback_wall_time = 0.0
         #: optional phase profiler (see :mod:`repro.obs.profiler`)
         self.profiler: Optional["PhaseProfiler"] = None
-        #: extra pending-work sources (e.g. the network's undrained
-        #: inboxes) folded into :attr:`pending` for quiescence checks
-        self._pending_sources: List[Callable[[], int]] = []
-        #: first exception raised inside a timer callback (re-raised by
-        #: the owning transport's drain)
+        #: the one loop wake-up, armed for the heap's head, and the
+        #: virtual deadline it was armed for: -inf while polling or while
+        #: a batch fires (no push re-arms then; the batch's end does)
+        self._armed: Optional[asyncio.Handle] = None
+        self._armed_for = 0.0
+        self._closed = False
+        #: resolved when the live count reaches zero or a callback raises
+        self._waiter: "asyncio.Future[None]" = loop.create_future()
+        #: raised inside callbacks; the transport's drain re-raises the first
         self._errors: List[BaseException] = []
 
-    @property
-    def now(self) -> float:
-        """Virtual milliseconds since the backend was created."""
-        return self.clock.now
+    #: virtual milliseconds since the backend was created; one Python
+    #: frame (the getter is a C ``attrgetter`` over the clock's property)
+    now = property(attrgetter("clock.now"))
 
     @property
     def pending(self) -> int:
-        """Live timers plus queued-but-unprocessed transport work."""
-        return self._live + sum(source() for source in self._pending_sources)
+        """Live (not-yet-fired, not-cancelled) timers."""
+        return self._live
 
-    def add_pending_source(self, source: Callable[[], int]) -> None:
-        """Register an extra pending-work counter (transport inboxes)."""
-        self._pending_sources.append(source)
-
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> _TimerHandle:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> _TimerHandle:
         """Run ``callback(*args)`` ``delay`` virtual milliseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
-        handle = _TimerHandle(self)
+        return self._push(self.clock.now + delay, callback, args)
+
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> _TimerHandle:
+        """Run ``callback(*args)`` at absolute virtual time ``time`` (at the
+        next wake-up when the live clock has already passed it)."""
+        return self._push(time, callback, args)
+
+    def _push(self, deadline: float, callback: Callable[..., None], args: Any) -> _TimerHandle:
+        handle = _TimerHandle(self, callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (deadline, seq, handle))
         self._live += 1
         if self._live > self.heap_high_water:
             self.heap_high_water = self._live
-        handle._timer = self._loop.call_later(
-            self.clock.to_real_seconds(delay), self._fire, handle, callback, args
-        )
+        if self._armed is None or deadline < self._armed_for:
+            self._arm()
         return handle
 
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> _TimerHandle:
-        """Run ``callback(*args)`` at absolute virtual time ``time``.
-
-        Unlike the simulator, a deadline the clock has *just* passed is
-        clamped to "now" rather than raising: the live clock advances
-        between computing an arrival time and scheduling it, so a
-        microscopically stale deadline is normal, not a protocol bug.
-        """
-        return self.schedule(max(0.0, time - self.clock.now), callback, *args)
-
-    def _fire(
-        self, handle: _TimerHandle, callback: Callable[..., None], args: Tuple[Any, ...]
-    ) -> None:
-        if handle._done:  # cancelled in the same loop iteration it fired
+    def _arm(self) -> None:
+        """Point the one loop wake-up at the heap's head (none once closed)."""
+        if self._armed is not None:
+            self._armed.cancel()
+            self._armed = None
+        heap = self._heap
+        while heap and heap[0][2]._scheduler is None:
+            heappop(heap)  # cancelled: never wake for it
+        if not heap or self._closed:
             return
-        handle._done = True
-        self._live -= 1
-        self.events_executed += 1
+        deadline = heap[0][0]
+        clock = self.clock
+        if (deadline - clock.now) * clock.time_scale < SELECT_GRANULARITY:
+            self._armed_for = -inf
+            self._armed = self._loop.call_soon(self._run_due)
+        else:
+            self._armed_for = deadline
+            when = clock.real_deadline(deadline)
+            self._armed = self._loop.call_at(when, self._run_due)
+
+    def _run_due(self) -> None:
+        """Fire, in ``(deadline, seq)`` order, everything due at one clock read."""
+        self._armed_for = -inf  # self._armed stays set: no re-arm
+        heap = self._heap
+        now = self.clock.now
+        # Events this batch schedules have seq >= fence and wait for the
+        # next wake-up, however stale their deadline.
+        fence = self._seq
         try:
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
-                profiler.dispatch_begin(callback)
-                callback(*args)
-                profiler.dispatch_end(self.now)
-            else:
-                callback(*args)
-        except BaseException as exc:  # noqa: BLE001 - surfaced at drain
-            self._errors.append(exc)
+            while heap:
+                deadline, seq, handle = heap[0]
+                if deadline > now or seq >= fence:
+                    break
+                heappop(heap)
+                if handle._scheduler is None:  # cancelled (lazy deletion)
+                    continue
+                handle._scheduler = None
+                self._live -= 1
+                self.events_executed += 1
+                try:
+                    profiler = self.profiler
+                    if profiler is not None and profiler.enabled:
+                        profiler.dispatch_begin(handle.callback)
+                        handle.callback(*handle.args)
+                        profiler.dispatch_end(self.now)
+                    else:
+                        handle.callback(*handle.args)
+                except Exception as exc:  # noqa: BLE001 - surfaced at drain
+                    self._errors.append(exc)
+        finally:
+            self._arm()
+        if self._live == 0 or self._errors:
+            self._wake()
+
+    def wakeup(self) -> "asyncio.Future[None]":
+        """Future resolved when the live count next hits zero or a callback
+        raises; shared, so a waiter re-checks its condition after waking."""
+        if self._waiter.done():
+            self._waiter = self._loop.create_future()
+        return self._waiter
+
+    def _wake(self) -> None:
+        if not self._waiter.done():
+            self._waiter.set_result(None)
+
+    def close(self) -> None:
+        """Cancel the armed wake-up; nothing fires or arms afterwards."""
+        self._closed = True
+        self._arm()
 
     def __repr__(self) -> str:
         return f"<AsyncioScheduler now={self.now:.3f} pending={self.pending}>"
 
 
 class AsyncioChannel:
-    """A unidirectional FIFO link delivering through a live inbox queue.
+    """A unidirectional FIFO link over the live scheduler's heap.
 
     Mirrors :class:`~repro.sim.network.Channel`: constant propagation
     delay, Bernoulli loss injection, outage windows, and the same counter
-    set.  Delivery enqueues into the destination process's inbox; the
-    process's pump task invokes ``receive`` — hosts and sequencing nodes
-    really do run as asyncio tasks.
+    set.  An arrival calls the destination process's ``receive``
+    directly, from the scheduler's batch.
     """
 
     def __init__(
@@ -202,7 +257,6 @@ class AsyncioChannel:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if loss_rate > 0 and rng is None:
             raise ValueError("loss_rate > 0 requires an rng")
-        self._network = network
         self._scheduler = network.scheduler
         self.src = src
         self.dst = dst
@@ -211,9 +265,6 @@ class AsyncioChannel:
         self._rng = rng
         self._last_delivery_time = 0.0
         self._down_until = 0.0
-        #: payloads on the wire, delivered head-first whatever order the
-        #: arrival timers fire in — this is what makes the channel FIFO
-        self._wire: "deque[Any]" = deque()
         self.sends = 0
         self.loss_drops = 0
         self.outage_drops = 0
@@ -243,7 +294,9 @@ class AsyncioChannel:
         self.sends += 1
         self.src.messages_sent += 1
         self.bytes_sent += size_bytes
-        if self.is_down:
+        scheduler = self._scheduler
+        now = scheduler.now
+        if now < self._down_until:
             self.outage_drops += 1
             return False
         if self.loss_rate > 0:
@@ -251,23 +304,23 @@ class AsyncioChannel:
             if self._rng.random() < self.loss_rate:
                 self.loss_drops += 1
                 return False
-        # FIFO: never deliver before a previously sent packet, and pop the
-        # wire deque head-first so near-tie timer jitter cannot reorder.
-        arrival = max(self._scheduler.now + self.delay, self._last_delivery_time)
+        # FIFO: arrivals never decrease, and the heap breaks ties by
+        # push order.
+        arrival = now + self.delay
+        if arrival < self._last_delivery_time:
+            arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        self._wire.append(payload)
-        self._scheduler.schedule_at(arrival, self._arrive)
+        scheduler.schedule_at(arrival, self._arrive, payload)
         self.in_flight += 1
         if self.in_flight > self.in_flight_high_water:
             self.in_flight_high_water = self.in_flight
         return True
 
-    def _arrive(self) -> None:
-        payload = self._wire.popleft()
+    def _arrive(self, payload: Any) -> None:
         self.in_flight -= 1
         self.receives += 1
         self.dst.messages_received += 1
-        self._network._enqueue(self.dst, payload, self)
+        self.dst.receive(payload, self)
 
     def __repr__(self) -> str:
         return (
@@ -277,7 +330,7 @@ class AsyncioChannel:
 
 
 class AsyncioNetwork:
-    """Process registry + live channels; one pump task per process.
+    """Process registry + live channels.
 
     API-compatible with :class:`~repro.sim.network.Network` (lazy connect,
     partition cuts with inheritance, channel retirement with carried
@@ -303,18 +356,12 @@ class AsyncioNetwork:
         self.loss_rate = loss_rate
         self.rng = rng
         self._processes: Dict[Any, "Process"] = {}
-        self._inboxes: Dict[Any, "asyncio.Queue[Tuple[Any, AsyncioChannel]]"] = {}
-        self._pumps: Dict[Any, "asyncio.Task[None]"] = {}
         self._channels: Dict[Tuple[Any, Any], AsyncioChannel] = {}
         self._cuts: List[Tuple[float, FrozenSet[Any], Optional[FrozenSet[Any]]]] = []
         self._retired_totals: Dict[str, int] = {k: 0 for k in self._CARRIED_STATS}
         self.channels_retired = 0
         #: edges retired by failover and not since re-created (GV206)
         self._retired_keys: Set[Tuple[Any, Any]] = set()
-        #: packets enqueued to an inbox but not yet fully processed by the
-        #: destination pump — part of the backend's pending-work count
-        self._unprocessed = 0
-        scheduler.add_pending_source(lambda: self._unprocessed)
 
     # -- registry ----------------------------------------------------------
 
@@ -323,7 +370,6 @@ class AsyncioNetwork:
         if process.name in self._processes:
             raise ValueError(f"duplicate process name {process.name!r}")
         self._processes[process.name] = process
-        self._inboxes[process.name] = asyncio.Queue()
         return process
 
     def process(self, name: Any) -> "Process":
@@ -332,43 +378,6 @@ class AsyncioNetwork:
 
     def __contains__(self, name: Any) -> bool:
         return name in self._processes
-
-    # -- pumps (the per-process asyncio tasks) -----------------------------
-
-    def ensure_pumps(self) -> None:
-        """Start an inbox-draining task for every process lacking one.
-
-        Must be called with the backend's event loop running; the drain
-        loops call it each poll so processes registered mid-run (e.g. by
-        a failover) get their task too.
-        """
-        for name in self._processes:
-            task = self._pumps.get(name)
-            if task is None or task.done():
-                self._pumps[name] = asyncio.ensure_future(self._pump(name))
-
-    async def _pump(self, name: Any) -> None:
-        process = self._processes[name]
-        inbox = self._inboxes[name]
-        while True:
-            payload, channel = await inbox.get()
-            try:
-                process.receive(payload, channel)
-            except BaseException as exc:  # noqa: BLE001 - surfaced at drain
-                self.scheduler._errors.append(exc)
-            finally:
-                self._unprocessed -= 1
-                inbox.task_done()
-
-    def _enqueue(self, dst: "Process", payload: Any, channel: AsyncioChannel) -> None:
-        self._unprocessed += 1
-        self._inboxes[dst.name].put_nowait((payload, channel))
-
-    def stop_pumps(self) -> None:
-        """Cancel every pump task (backend shutdown)."""
-        for task in self._pumps.values():
-            task.cancel()
-        self._pumps.clear()
 
     # -- channels ----------------------------------------------------------
 
@@ -502,7 +511,7 @@ class AsyncioNetwork:
 
 
 class AsyncioTransport:
-    """Live runtime backend: asyncio tasks, event-loop timers, real clock.
+    """Live runtime backend: one timer heap on an event loop, real clock.
 
     Parameters
     ----------
@@ -541,17 +550,14 @@ class AsyncioTransport:
         self.loss_rate = loss_rate
         self.time_scale = time_scale
         self.max_run_wall_seconds = max_run_wall_seconds
+        self._owned = False
         if loop is None:
             try:
                 loop = asyncio.get_running_loop()
-                self._owned = False
             except RuntimeError:
                 loop = asyncio.new_event_loop()
                 self._owned = True
-        else:
-            self._owned = False
         self._loop = loop
-        self._closed = False
         self.clock = LiveClock(time_scale=time_scale)
         self.scheduler = AsyncioScheduler(loop, self.clock)
         self.transport = AsyncioNetwork(
@@ -588,45 +594,43 @@ class AsyncioTransport:
         max_events: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> int:
-        """Await quiescence (no timers, no queued packets) or the horizon.
+        """Await quiescence (no live timers) or the horizon.
 
         ``until`` is a virtual-time horizon like the simulator's;
         ``max_events`` is a *soft* bound checked between polls;
         ``timeout`` overrides the backend's wall-clock safety ceiling
         (real seconds).  Returns callbacks executed during the wait.
         """
-        before = self.scheduler.events_executed
+        scheduler = self.scheduler
+        before = scheduler.events_executed
         limit = timeout if timeout is not None else self.max_run_wall_seconds
         started = read_wall_clock()
-        # Poll finely enough to notice quiescence quickly at any scale.
+        # A horizon or an event budget is polled, finely enough to notice
+        # it quickly at any scale; plain quiescence is awaited.
         poll = min(max(self.clock.time_scale, 0.0005), 0.02)
         while True:
-            self.transport.ensure_pumps()
             self._raise_pending_errors()
             if until is not None and self.clock.now >= until:
                 break
             if max_events is not None and (
-                self.scheduler.events_executed - before >= max_events
+                scheduler.events_executed - before >= max_events
             ):
                 break
-            if until is None and self.scheduler.pending == 0:
-                # Let queue wakeups scheduled via call_soon settle, then
-                # confirm quiescence held.
-                await asyncio.sleep(0)
-                await asyncio.sleep(0)
-                if self.scheduler.pending == 0:
-                    break
-                continue
-            if read_wall_clock() - started > limit:
+            if until is None and scheduler.pending == 0:
+                break
+            elapsed = read_wall_clock() - started
+            if elapsed > limit:
                 raise SimulationError(
                     f"live runtime did not reach "
                     f"{'quiescence' if until is None else f'until={until}'} "
                     f"within {limit:.1f}s wall "
-                    f"(pending={self.scheduler.pending}, now={self.clock.now:.1f})"
+                    f"(pending={scheduler.pending}, now={self.clock.now:.1f})"
                 )
-            await asyncio.sleep(poll)
-        self._raise_pending_errors()
-        return self.scheduler.events_executed - before
+            if until is None and max_events is None:
+                await asyncio.wait([scheduler.wakeup()], timeout=limit - elapsed)
+            else:
+                await asyncio.sleep(poll)
+        return scheduler.events_executed - before
 
     def _raise_pending_errors(self) -> None:
         if self.scheduler._errors:
@@ -656,20 +660,13 @@ class AsyncioTransport:
         )
 
     def close(self) -> None:
-        """Cancel pump tasks and close the owned event loop.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._owned and not self._loop.is_closed():
-            if not self._loop.is_running():
-                self.transport.stop_pumps()
-                self._loop.run_until_complete(asyncio.sleep(0))
-                self._loop.close()
-        else:
-            self.transport.stop_pumps()
+        """Cancel the armed timer and close the owned event loop.  Idempotent."""
+        self.scheduler.close()
+        if self._owned and not self._loop.is_running():
+            self._loop.close()
 
     def attach_trace(self, trace: "Trace") -> None:
-        """Record backend-level events (pump errors) into the fabric trace."""
+        """Record backend-level events (callback errors) into the fabric trace."""
         self._trace = trace
 
     def __repr__(self) -> str:

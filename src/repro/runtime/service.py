@@ -25,7 +25,8 @@ Wire protocol: one JSON object per line in each direction.
     -> {"op": "metrics", "format": "prometheus"}
     <- {"ok": true, "text": "# HELP repro_phase_latency_ms ..."}
     -> {"op": "monitors"}
-    <- {"ok": true, "alerts": [...], "violations": 0, "warnings": 0}
+    <- {"ok": true, "alerts": [...newest 100...], "alerts_total": 0,
+        "alerts_dropped": 0, "violations": 0, "warnings": 0}
 
 The ``metrics`` and ``monitors`` verbs are served by a
 :class:`repro.obs.live.LiveMonitor` subscribed to the live fabric's trace
@@ -51,13 +52,22 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.api import OrderedPubSub, OrderingViolation
-from repro.obs.live import LiveMonitor, TelemetrySnapshot
+from repro.obs.live import STALL_THRESHOLD_MS, LiveMonitor, TelemetrySnapshot
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["OrderingService", "request", "run_self_test", "serve"]
 
 #: safety ceiling (real seconds) on one drain barrier
 DRAIN_WALL_LIMIT = 30.0
+
+#: real seconds a message may sit in hold-back before LM303 warns, however
+#: far ``time_scale`` compresses the monitor's virtual-ms default: below
+#: this, event-loop scheduling alone reads as a stall
+STALL_REAL_FLOOR_S = 0.05
+
+#: alerts one ``monitors`` reply carries (the newest); the counters cover
+#: the rest, and the reply stays under asyncio's 64 KiB default line limit
+MONITORS_REPLY_ALERTS = 100
 
 
 class OrderingService:
@@ -108,7 +118,12 @@ class OrderingService:
         # (the windowed monitors and histograms are all that accumulate).
         self.registry = MetricsRegistry()
         self.monitor = LiveMonitor(
-            node=f"service:{host}", registry=self.registry, retain_audit=False
+            node=f"service:{host}",
+            stall_threshold_ms=max(
+                STALL_THRESHOLD_MS, STALL_REAL_FLOOR_S / time_scale
+            ),
+            registry=self.registry,
+            retain_audit=False,
         )
         self.bus.add_fabric_observer(self.monitor.attach)
 
@@ -259,15 +274,18 @@ class OrderingService:
         return {"ok": True, "snapshot": snapshot.to_dict()}
 
     def _monitors(self) -> Dict[str, Any]:
-        """The streaming-monitor alert feed and verdict counters."""
+        """The newest streaming-monitor alerts and the verdict counters."""
+        monitor = self.monitor
         return {
             "ok": True,
-            "alerts": [alert.to_dict() for alert in self.monitor.alerts],
-            "alerts_dropped": self.monitor.alerts_dropped,
-            "violations": self.monitor.violations,
-            "warnings": sum(
-                1 for a in self.monitor.alerts if a.severity == "warning"
-            ),
+            "alerts": [
+                alert.to_dict()
+                for alert in monitor.alerts[-MONITORS_REPLY_ALERTS:]
+            ],
+            "alerts_total": monitor.violations + monitor.warnings,
+            "alerts_dropped": monitor.alerts_dropped,
+            "violations": monitor.violations,
+            "warnings": monitor.warnings,
         }
 
     def _check(self) -> Dict[str, Any]:

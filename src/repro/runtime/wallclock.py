@@ -60,3 +60,12 @@ class LiveClock:
     def to_real_seconds(self, virtual_ms: float) -> float:
         """Convert a virtual-millisecond duration to real seconds."""
         return virtual_ms * self.time_scale
+
+    def real_deadline(self, virtual_ms: float) -> float:
+        """The ``time.monotonic()`` reading at which ``now`` reaches ``virtual_ms``.
+
+        asyncio's event loops read the same monotonic clock for
+        ``loop.time()``, so the live backend hands this straight to
+        ``loop.call_at`` — arming a timer costs no clock read.
+        """
+        return self._t0 + virtual_ms * self.time_scale

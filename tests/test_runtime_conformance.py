@@ -2,8 +2,8 @@
 
 Every test here runs twice — once on :class:`SimTransport` (the
 deterministic discrete-event simulator) and once on
-:class:`AsyncioTransport` (live event-loop timers, per-process inbox
-queues, pump tasks) — driving the *same unmodified* OrderingFabric
+:class:`AsyncioTransport` (one timer heap on a live event loop, direct
+dispatch) — driving the *same unmodified* OrderingFabric
 scenario through each.  What is asserted is the protocol-visible
 contract: per-group total order, exactly-once and causal delivery
 (``verify_run``), FIFO links under retransmission-induced reordering,
@@ -214,6 +214,39 @@ def test_retired_channel_stats_fold_into_totals(env32, runtime_factory):
     )
     # Retiring channels must not lose their accumulated send counts.
     assert fabric.network.total_sends() >= sends_before
+
+
+# -- live-only timer accuracy --------------------------------------------------
+
+
+@pytest.mark.parametrize("delay", [50.0, 100.0])  # 0.5 ms and 1 ms of real time
+def test_live_timers_are_not_rounded_up_to_the_selector_millisecond(delay):
+    """Short timers fire well inside the selector's 1 ms granularity (a
+    loop timer per event slept the 0.5 ms one for a whole millisecond)."""
+    import asyncio
+    import statistics
+    from time import perf_counter
+
+    async def scenario():
+        backend = AsyncioTransport(time_scale=1e-5)
+        expected = backend.clock.to_real_seconds(delay)
+        loop = asyncio.get_running_loop()
+        lags = []
+        try:
+            for _ in range(200):
+                fired = loop.create_future()
+                set_at = perf_counter()
+                backend.scheduler.schedule(
+                    delay, lambda f=fired: f.set_result(perf_counter())
+                )
+                lags.append((await fired) - set_at - expected)
+        finally:
+            backend.close()
+        return lags
+
+    lags = asyncio.run(scenario())
+    assert min(lags) >= -1e-4  # never early (clock-resolution slack only)
+    assert statistics.median(lags) < 0.3e-3
 
 
 # -- sim-only determinism guarantee ------------------------------------------
