@@ -319,7 +319,10 @@ def check_terminal(fabric: Any, complete: bool = True) -> List[Finding]:
 
 
 def _delivered(fabric: Any, host_id: int) -> List[Any]:
-    return fabric.host_processes[host_id].delivered
+    """What ``host_id`` delivered, in order, as the log's shared message
+    headers: MC40x reads ``msg_id`` and ``stamp``, never a delivery time,
+    and a terminal state is audited once per explored schedule."""
+    return fabric.host_processes[host_id].delivered.headers()
 
 
 def _check_pairwise_order(fabric: Any) -> List[Finding]:

@@ -77,8 +77,10 @@ class Delivery(Protocol):
     """What the checks read of one application delivery.
 
     A :class:`DeliveredEntry` (views built from a record stream) and the
-    fabric's own :class:`~repro.core.protocol.DeliveryRecord` (a finished
-    fabric is audited in place, :func:`fabric_view`) both provide it.
+    :class:`~repro.core.delivery_log.DeliveryRecord` views of a fabric's
+    own :class:`~repro.core.delivery_log.DeliveryLog` both provide it.  The
+    checks read a ``DeliveryLog`` by column (:func:`_ids_of`,
+    :func:`_times_of`, :func:`_facts_of`) and any other log entry by entry.
     """
 
     @property
@@ -154,13 +156,14 @@ RunLike = Union["OrderingFabric", RunView]
 def fabric_view(fabric: "OrderingFabric") -> RunView:
     """Project a finished fabric into a :class:`RunView`.
 
-    The delivery logs are the fabric's own records (each list copied, no
-    entry rebuilt): an audit that allocates nothing per delivery leaves
-    the garbage collector nothing to scan the run's heap for.
+    The delivery logs are column snapshots of the fabric's own (three flat
+    copies per host, no record built): an audit that allocates nothing per
+    delivery leaves the garbage collector nothing to scan the run's heap
+    for, and a delivery after the snapshot does not reach the view.
     """
     return RunView(
         delivered={
-            host_id: list(process.delivered)
+            host_id: process.delivered.snapshot()
             for host_id, process in fabric.host_processes.items()
         },
         membership={
@@ -193,24 +196,42 @@ def _finding(code: str, message: str, anchor: str) -> Finding:
     return Finding(code=code, message=message, anchor=anchor, tool=TOOL)
 
 
+def _ids_of(log: Sequence[Union[Delivery, "PublishedEntry"]]) -> Sequence[int]:
+    """The message id of every entry of ``log``, in log order."""
+    column = getattr(log, "msg_ids", None)
+    return [r.msg_id for r in log] if column is None else column()
+
+
+def _times_of(log: Sequence[Delivery]) -> Sequence[float]:
+    """The delivery time of every delivery of ``log``, in log order."""
+    column = getattr(log, "times", None)
+    return [r.time for r in log] if column is None else column()
+
+
+def _facts_of(log: Sequence[Delivery]) -> Sequence[Delivery]:
+    """Per delivery of ``log``, something to read ``msg_id``, ``group`` and
+    ``sender`` (not ``time``) off: the entries, or a columnar log's shared
+    message headers."""
+    column = getattr(log, "headers", None)
+    return log if column is None else column()
+
+
 def _delivered_ids(view: RunView, host_id: int) -> List[int]:
-    return [r.msg_id for r in view.delivered.get(host_id, [])]
+    return list(_ids_of(view.delivered.get(host_id, [])))
 
 
 def check_group_order(run: RunLike) -> List[Finding]:
     """RT300: members of each group delivered its messages identically."""
     view = as_run_view(run)
     findings: List[Finding] = []
+    # Read once per host, not once per group it belongs to.
+    facts = {host_id: _facts_of(log) for host_id, log in view.delivered.items()}
     for group in view.groups():
         members = sorted(view.members(group))
         reference: List[int] = []
         reference_host = -1
         for host_id in members:
-            order = [
-                r.msg_id
-                for r in view.delivered.get(host_id, [])
-                if r.group == group
-            ]
+            order = [r.msg_id for r in facts.get(host_id, ()) if r.group == group]
             if reference_host < 0:
                 reference = order
                 reference_host = host_id
@@ -296,7 +317,7 @@ def check_publisher_fifo(run: RunLike) -> List[Finding]:
     findings: List[Finding] = []
     for host_id in view.hosts():
         last_seen: Dict[Tuple[int, int], int] = {}
-        for record in view.delivered.get(host_id, []):
+        for record in _facts_of(view.delivered.get(host_id, [])):
             key = (record.sender, record.group)
             previous = last_seen.get(key, -1)
             if record.msg_id < previous:
@@ -331,8 +352,8 @@ class _DeliveryIndex:
         self.hosts = view.hosts()
         self.maps: Dict[int, Dict[int, int]] = {
             host_id: {
-                r.msg_id: position
-                for position, r in enumerate(view.delivered[host_id])
+                msg_id: position
+                for position, msg_id in enumerate(_ids_of(view.delivered[host_id]))
             }
             for host_id in self.hosts
         }
@@ -374,8 +395,8 @@ class _DeliveryIndex:
         return table
 
 
-def _msg_ids(entries: Iterable[Union[Delivery, PublishedEntry]]) -> np.ndarray:
-    return np.fromiter((entry.msg_id for entry in entries), np.int64)
+def _msg_ids(entries: Sequence[Union[Delivery, PublishedEntry]]) -> np.ndarray:
+    return np.array(_ids_of(entries), np.int64)
 
 
 def check_mutual_consistency(run: RunLike) -> List[Finding]:
@@ -398,7 +419,7 @@ def check_mutual_consistency(run: RunLike) -> List[Finding]:
 
     def common_order(host_id: int, other: int) -> List[int]:
         theirs = index.maps[other]
-        return [r.msg_id for r in view.delivered[host_id] if r.msg_id in theirs]
+        return [m for m in _ids_of(view.delivered[host_id]) if m in theirs]
 
     for row, a in enumerate(host_ids):
         later = range(row + 1, len(host_ids))
@@ -454,7 +475,7 @@ def check_causal_order(run: RunLike) -> List[Finding]:
         log = view.delivered.get(sender)
         if not log:
             continue
-        times = np.fromiter((r.time for r in log), np.float64)
+        times = np.array(_times_of(log), np.float64)
         by_time = np.argsort(times, kind="stable")
         # Per message, how many of the sender's deliveries it depends on.
         prefix = np.searchsorted(

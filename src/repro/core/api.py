@@ -24,9 +24,11 @@ in-flight reconfiguration to future work).
 """
 
 import random
+from itertools import chain
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Union
 
-from repro.core.protocol import DeliveryRecord, OrderingFabric
+from repro.core.delivery_log import DeliveryLog, DeliveryRecord
+from repro.core.protocol import OrderingFabric
 from repro.runtime.interfaces import RuntimeBackend
 from repro.pubsub.broker import SubscriptionBroker
 from repro.pubsub.membership import GroupMembership
@@ -107,7 +109,9 @@ class OrderedPubSub:
         self._fabric: Optional[OrderingFabric] = None
         self._dirty = True
         self.broker.membership.add_listener(self._on_membership_change)
-        self._delivered_history: Dict[int, List[DeliveryRecord]] = {
+        #: host -> the delivery logs of its retired epochs, oldest first
+        #: (kept by reference: nothing is copied at a switch)
+        self._delivered_history: Dict[int, List[DeliveryLog]] = {
             h.host_id: [] for h in self.hosts
         }
         #: optional application callback ``(host_id, DeliveryRecord)``,
@@ -195,7 +199,7 @@ class OrderedPubSub:
             # Preserve delivery history across fabric epochs — after the
             # switch, so messages delivered during the fence drain count.
             for host_id, process in old_fabric.host_processes.items():
-                self._delivered_history[host_id].extend(process.delivered)
+                self._delivered_history[host_id].append(process.delivered)
         else:
             self._fabric = OrderingFabric(
                 self.broker.membership,
@@ -273,10 +277,10 @@ class OrderedPubSub:
     def delivered(self, host_id: int) -> List[DeliveryRecord]:
         """All messages delivered to a host, across fabric epochs."""
         self._check_host(host_id)
-        records = list(self._delivered_history[host_id])
+        logs = list(self._delivered_history[host_id])
         if self._fabric is not None:
-            records.extend(self._fabric.host_processes[host_id].delivered)
-        return records
+            logs.append(self._fabric.host_processes[host_id].delivered)
+        return list(chain.from_iterable(logs))
 
     def delivered_payloads(self, host_id: int) -> List[Any]:
         """Just the payloads, in delivery order (convenience)."""

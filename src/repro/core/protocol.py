@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids obs coupling
 
 from repro.core.atoms import AtomRuntime, build_atom_runtimes
 from repro.core.delivery import Blocking, DeliveryState
+from repro.core.delivery_log import DeliveryLog, DeliveryRecord, MessageHeader
 from repro.core.messages import (
     ATOM_ENTRY_BYTES,
     HEADER_BYTES,
@@ -116,9 +117,11 @@ class DataPacket:
 class DeliverPacket:
     """A fully sequenced message in the distribution phase."""
 
+    # ``header`` is not a field: it is the one object holding the first
+    # five, shared by every member's packet of the message.
     __slots__ = (
         "stamp", "payload", "msg_id", "sender", "publish_time", "dest",
-        "egress_node",
+        "egress_node", "header",
     )
 
     stamp: Stamp
@@ -149,6 +152,9 @@ class DeliverPacket:
         self.publish_time = publish_time
         self.dest = dest
         self.egress_node = egress_node
+        #: set by the fabric's distribution phase; a packet built any other
+        #: way gets one at the receiver
+        self.header: Optional[MessageHeader] = None
 
     def size_bytes(self) -> int:
         return self.stamp.size_bytes()
@@ -287,37 +293,6 @@ class _LinkState:
         self.holdback: Dict[int, Any] = {}
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One delivered message as observed by a receiver host."""
-
-    # Every delivery of a run is retained as one of these.
-    __slots__ = ("time", "stamp", "payload", "msg_id", "sender", "publish_time")
-
-    time: float
-    stamp: Stamp
-    payload: Any
-    msg_id: int
-    sender: int
-    publish_time: float
-
-    @property
-    def group(self) -> int:
-        """The destination group — with ``msg_id``, ``sender`` and ``time``
-        what :func:`repro.check.verify_run` reads of a delivery, so a
-        finished fabric's logs are audited without being copied."""
-        return self.stamp.group
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        # Frozen and slotted: the default reconstruction assigns the slots
-        # one by one, which a frozen dataclass refuses.
-        return (
-            type(self),
-            (self.time, self.stamp, self.payload, self.msg_id, self.sender,
-             self.publish_time),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Processes
 # ---------------------------------------------------------------------------
@@ -346,7 +321,7 @@ class HostProcess(Process):
         delivery.on_drain = self._record_drain
         #: msg_id -> virtual time it entered the hold-back buffer
         self._buffered_at: Dict[int, float] = {}
-        self.delivered: List[DeliveryRecord] = []
+        self.delivered = DeliveryLog()
         #: messages known stable (delivered by every group member)
         self.stable_ids: Set[int] = set()
         self._egress_of: Dict[int, int] = {}
@@ -412,59 +387,62 @@ class HostProcess(Process):
         track_stability = fabric.track_stability
         if track_stability:
             self._egress_of[payload.msg_id] = payload.egress_node
-        arrival = DeliveryRecord(
-            now,
-            payload.stamp,
-            payload.payload,
-            payload.msg_id,
-            payload.sender,
-            payload.publish_time,
-        )
-        # on_receive returns records in delivery order.  The arrival's own
-        # record already carries the delivery time; records released from
-        # the buffer carry their arrival time and are re-stamped.
-        for stamp, record in self.delivery.on_receive(payload.stamp, arrival):
-            if record is not arrival:
-                record = DeliveryRecord(
-                    now,
-                    stamp,
-                    record.payload,
-                    record.msg_id,
-                    record.sender,
-                    record.publish_time,
-                )
-            if isinstance(record.payload, EpochFence):
+        arrived = payload.header
+        if arrived is None:
+            arrived = MessageHeader(
+                payload.stamp,
+                payload.payload,
+                payload.msg_id,
+                payload.sender,
+                payload.publish_time,
+            )
+        # What waits in the hold-back is the shared header; on_receive
+        # returns (stamp, header) pairs in delivery order, and a record is
+        # built only for a reader of this one delivery.
+        for stamp, header in self.delivery.on_receive(arrived.stamp, arrived):
+            msg_id = header.msg_id
+            if isinstance(header.payload, EpochFence):
                 # Epoch fences advance the hold-back expectations like any
                 # sequenced message but are consumed by the fabric: they
                 # never reach the application log or stability tracking.
-                self._egress_of.pop(record.msg_id, None)
-                fabric._fence_delivered(host_id, record)
+                self._egress_of.pop(msg_id, None)
+                fabric._fence_delivered(host_id, header.payload, msg_id)
                 continue
-            self.delivered.append(record)
+            self.delivered.add(now, header)
             trace = fabric.trace
             if trace.enabled:
                 trace.record(
                     now,
                     "deliver",
                     host=host_id,
-                    msg=record.msg_id,
+                    msg=msg_id,
                     group=stamp.group,
-                    sender=record.sender,
-                    publish_time=record.publish_time,
+                    sender=header.sender,
+                    publish_time=header.publish_time,
                 )
             else:
                 # One per delivery: counted (see the Trace contract) without
                 # packing five keyword arguments nobody will read.
                 trace.record(now, "deliver")
             if fabric.on_deliver is not None:
-                fabric.on_deliver(host_id, record)
+                fabric.on_deliver(
+                    host_id,
+                    DeliveryRecord(
+                        now,
+                        stamp,
+                        header.payload,
+                        msg_id,
+                        header.sender,
+                        header.publish_time,
+                    ),
+                )
             if track_stability:
-                egress = self._egress_of.pop(record.msg_id, -1)
+                egress = self._egress_of.pop(msg_id, -1)
                 if egress >= 0:
                     fabric._transmit(
                         self,
                         fabric.node_processes[egress],
-                        StabilityAck(record.msg_id, host_id),
+                        StabilityAck(msg_id, host_id),
                     )
 
     def _record_buffer(
@@ -473,7 +451,7 @@ class HostProcess(Process):
         """Trace a deliver-or-buffer decision that buffered the arrival."""
         if not self.fabric.trace.enabled:
             return
-        assert isinstance(payload, DeliveryRecord)
+        assert isinstance(payload, MessageHeader)
         self._buffered_at[payload.msg_id] = self.sim.now
         self.fabric.trace.record(
             self.sim.now,
@@ -493,8 +471,8 @@ class HostProcess(Process):
         """Trace a buffer release and the arrival that unblocked it."""
         if not self.fabric.trace.enabled:
             return
-        assert isinstance(payload, DeliveryRecord)
-        assert isinstance(by_payload, DeliveryRecord)
+        assert isinstance(payload, MessageHeader)
+        assert isinstance(by_payload, MessageHeader)
         buffered_at = self._buffered_at.pop(payload.msg_id, None)
         self.fabric.trace.record(
             self.sim.now,
@@ -1315,10 +1293,10 @@ class OrderingFabric:
         )
         return message.msg_id
 
-    def _fence_delivered(self, host_id: int, record: "DeliveryRecord") -> None:
+    def _fence_delivered(
+        self, host_id: int, fence: EpochFence, msg_id: int
+    ) -> None:
         """Consume an epoch fence at a receiver (not an app delivery)."""
-        fence = record.payload
-        assert isinstance(fence, EpochFence)
         self.fence_delivered.setdefault(fence.group, {}).setdefault(
             host_id, self.sim.now
         )
@@ -1326,7 +1304,7 @@ class OrderingFabric:
             self.sim.now,
             "epoch_fence",
             phase="deliver",
-            msg=record.msg_id,
+            msg=msg_id,
             group=fence.group,
             epoch=fence.epoch,
             host=host_id,
@@ -1376,18 +1354,19 @@ class OrderingFabric:
         msg_id = message.msg_id
         sender = message.sender
         publish_time = message.publish_time
+        # One header per message: what the members' hold-backs and
+        # delivery logs keep of it is a reference to this object.
+        header = MessageHeader(stamp, payload, msg_id, sender, publish_time)
         egress = src.node_id
         hosts = self.host_processes
         for member in members:
+            packet = DeliverPacket(
+                stamp, payload, msg_id, sender, publish_time, member, egress
+            )
+            packet.header = header
             # _transmit is looked up per packet: the checker's mutation
             # harness patches it on the instance.
-            self._transmit(
-                src,
-                hosts[member],
-                DeliverPacket(
-                    stamp, payload, msg_id, sender, publish_time, member, egress
-                ),
-            )
+            self._transmit(src, hosts[member], packet)
         self._account_distribution(src, message.group, stamp.size_bytes())
 
     def _account_distribution(
@@ -1430,7 +1409,9 @@ class OrderingFabric:
         return self.runtime.run(until=until, max_events=max_events)
 
     def delivered(self, host_id: int) -> List[DeliveryRecord]:
-        """Messages delivered to a host, in delivery order."""
+        """Messages delivered to a host, in delivery order (records built
+        for this call; read ``host_processes[host_id].delivered`` columns
+        where one per delivery is too many)."""
         return list(self.host_processes[host_id].delivered)
 
     def pending_messages(self) -> Dict[int, int]:

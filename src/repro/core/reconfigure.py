@@ -39,6 +39,7 @@ derived graph/certificate that fails its proof.
 """
 
 import logging
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple, Optional
 
 from repro.core.messages import AtomId
@@ -123,10 +124,9 @@ def _undelivered(fabric: OrderingFabric) -> Dict[int, int]:
     for these stragglers too; this counts, per message id, how many
     member deliveries are still missing.
     """
-    counts: Dict[int, int] = {}
+    counts: "Counter[int]" = Counter()
     for process in fabric.host_processes.values():
-        for record in process.delivered:
-            counts[record.msg_id] = counts.get(record.msg_id, 0) + 1
+        counts.update(process.delivered.msg_ids())
     missing: Dict[int, int] = {}
     for msg_id, message in fabric.published.items():
         expected = len(fabric.graph.members(message.group))

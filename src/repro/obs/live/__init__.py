@@ -37,6 +37,7 @@ from repro.obs.live.monitors import (
 )
 from repro.obs.live.snapshot import (
     SNAPSHOT_FORMAT,
+    WIRE_ALERTS,
     TelemetrySnapshot,
     merge_snapshots,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "STALL_THRESHOLD_MS",
     "TelemetrySnapshot",
+    "WIRE_ALERTS",
     "merge_phase_histograms",
     "merge_snapshots",
     "phase_summary",

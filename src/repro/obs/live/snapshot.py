@@ -20,10 +20,15 @@ from repro.obs.registry import Histogram
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.live.monitors import LiveMonitor
 
-__all__ = ["TelemetrySnapshot", "SNAPSHOT_FORMAT", "merge_snapshots"]
+__all__ = ["TelemetrySnapshot", "SNAPSHOT_FORMAT", "WIRE_ALERTS", "merge_snapshots"]
 
 #: Schema tag embedded in every serialized snapshot.
 SNAPSHOT_FORMAT = "repro-telemetry/1"
+
+#: alerts one snapshot (or ``monitors`` reply) carries, the newest; the
+#: ``violations``/``warnings`` counters cover the rest, and the serialized
+#: form stays under asyncio's 64 KiB default line limit
+WIRE_ALERTS = 100
 
 
 def _histogram_to_dict(histogram: Histogram) -> Dict[str, Any]:
@@ -59,8 +64,12 @@ class TelemetrySnapshot:
     now: float = 0.0
     published: int = 0
     delivered: int = 0
+    #: the newest alerts, at most :data:`WIRE_ALERTS`
     alerts: List[Dict[str, Any]] = field(default_factory=list)
     alerts_dropped: int = 0
+    #: every error / warning alert raised, carried in ``alerts`` or not
+    violations: int = 0
+    warnings: int = 0
     #: host id (as str, JSON-friendly) -> hold-back depth
     holdback: Dict[str, int] = field(default_factory=dict)
     #: group id (as str) -> members yet to deliver the live fence
@@ -77,8 +86,10 @@ class TelemetrySnapshot:
             now=monitor.now,
             published=monitor.published_total,
             delivered=monitor.delivered_total,
-            alerts=[alert.to_dict() for alert in monitor.alerts],
+            alerts=[alert.to_dict() for alert in monitor.alerts[-WIRE_ALERTS:]],
             alerts_dropped=monitor.alerts_dropped,
+            violations=monitor.violations,
+            warnings=monitor.warnings,
             holdback={
                 str(host): depth
                 for host, depth in monitor.holdback_occupancy().items()
@@ -93,16 +104,6 @@ class TelemetrySnapshot:
                 for phase in PHASES
             },
         )
-
-    # -- verdict helpers ---------------------------------------------------
-
-    @property
-    def violations(self) -> int:
-        return sum(1 for a in self.alerts if a.get("severity") == "error")
-
-    @property
-    def warnings(self) -> int:
-        return sum(1 for a in self.alerts if a.get("severity") == "warning")
 
     def phase_summaries(self) -> Dict[str, Dict[str, float]]:
         """Per-phase ``{count, p50, p99, p999, max}`` from the counts."""
@@ -142,6 +143,8 @@ class TelemetrySnapshot:
             delivered=int(data.get("delivered", 0)),
             alerts=list(data.get("alerts", [])),
             alerts_dropped=int(data.get("alerts_dropped", 0)),
+            violations=int(data.get("violations", 0)),
+            warnings=int(data.get("warnings", 0)),
             holdback={
                 str(k): int(v) for k, v in data.get("holdback", {}).items()
             },
@@ -159,8 +162,9 @@ class TelemetrySnapshot:
         """Exact cross-node aggregate of two snapshots.
 
         Totals add, hold-back depths add per host, fence gaps union,
-        histograms merge bucket-by-bucket (identical fixed schemes), and
-        the alert feeds interleave by time.  Quantiles computed from the
+        histograms merge bucket-by-bucket (identical fixed schemes), the
+        alert counters add and the alert feeds interleave by time (the
+        newest :data:`WIRE_ALERTS` are kept).  Quantiles computed from the
         merged histogram equal those of a single histogram that observed
         the union of both nodes' samples.
         """
@@ -172,8 +176,10 @@ class TelemetrySnapshot:
             alerts=sorted(
                 list(self.alerts) + list(other.alerts),
                 key=lambda a: (a.get("time", 0.0), a.get("rule", "")),
-            ),
+            )[-WIRE_ALERTS:],
             alerts_dropped=self.alerts_dropped + other.alerts_dropped,
+            violations=self.violations + other.violations,
+            warnings=self.warnings + other.warnings,
             holdback=dict(self.holdback),
             fences={g: list(m) for g, m in self.fences.items()},
             epoch=(

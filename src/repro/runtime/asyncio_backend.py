@@ -272,6 +272,8 @@ class AsyncioChannel:
         self.receives = 0
         self.in_flight = 0
         self.in_flight_high_water = 0
+        #: bound once, not per send (see sim.network.Channel)
+        self._on_arrival = self._arrive
 
     @property
     def drops(self) -> int:
@@ -310,7 +312,7 @@ class AsyncioChannel:
         if arrival < self._last_delivery_time:
             arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        scheduler.schedule_at(arrival, self._arrive, payload)
+        scheduler.schedule_at(arrival, self._on_arrival, payload)
         self.in_flight += 1
         if self.in_flight > self.in_flight_high_water:
             self.in_flight_high_water = self.in_flight

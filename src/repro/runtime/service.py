@@ -52,7 +52,12 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.api import OrderedPubSub, OrderingViolation
-from repro.obs.live import STALL_THRESHOLD_MS, LiveMonitor, TelemetrySnapshot
+from repro.obs.live import (
+    STALL_THRESHOLD_MS,
+    WIRE_ALERTS,
+    LiveMonitor,
+    TelemetrySnapshot,
+)
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["OrderingService", "request", "run_self_test", "serve"]
@@ -65,9 +70,9 @@ DRAIN_WALL_LIMIT = 30.0
 #: this, event-loop scheduling alone reads as a stall
 STALL_REAL_FLOOR_S = 0.05
 
-#: alerts one ``monitors`` reply carries (the newest); the counters cover
-#: the rest, and the reply stays under asyncio's 64 KiB default line limit
-MONITORS_REPLY_ALERTS = 100
+#: alerts one ``monitors`` reply carries (the newest) — the cap a
+#: ``metrics`` snapshot applies too
+MONITORS_REPLY_ALERTS = WIRE_ALERTS
 
 
 class OrderingService:

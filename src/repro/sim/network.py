@@ -76,6 +76,9 @@ class Channel:
         #: packets currently propagating (scheduled but not yet delivered)
         self.in_flight = 0
         self.in_flight_high_water = 0
+        #: the one callback every send schedules: ``self._deliver`` in the
+        #: send would allocate a bound method per packet in flight
+        self._on_arrival = self._deliver
 
     @property
     def drops(self) -> int:
@@ -123,7 +126,7 @@ class Channel:
         if arrival < self._last_delivery_time:
             arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        sim.schedule_at(arrival, self._deliver, payload)
+        sim.schedule_at(arrival, self._on_arrival, payload)
         self.in_flight += 1
         if self.in_flight > self.in_flight_high_water:
             self.in_flight_high_water = self.in_flight

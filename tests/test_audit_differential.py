@@ -9,6 +9,7 @@ anchor, order and the 25-per-check cap must be identical on any view,
 clean or broken.
 """
 
+import gc
 import random
 from typing import Dict, List
 
@@ -293,8 +294,9 @@ def test_publish_at_the_instant_of_a_delivery_is_no_dependency():
 
 
 def test_finished_fabric_is_audited_in_place():
-    """``fabric_view`` hands the checks the fabric's own records: nothing
-    is built per delivery, and a later delivery does not reach the view."""
+    """``fabric_view`` hands the checks column snapshots of the fabric's own
+    logs: nothing is built per delivery, and a later delivery does not
+    reach the view."""
     env = ExperimentEnv(n_hosts=6, seed=0)
     membership = {0: frozenset({0, 1, 2, 3}), 1: frozenset({1, 2, 4, 5})}
     fabric = env.build_fabric(env.membership_from(membership), seed=0)
@@ -305,7 +307,7 @@ def test_finished_fabric_is_audited_in_place():
     for host_id, process in fabric.host_processes.items():
         log = view.delivered[host_id]
         assert log == process.delivered and log is not process.delivered
-        assert all(a is b for a, b in zip(log, process.delivered))
+        assert all(a == b for a, b in zip(log, process.delivered))
         assert [r.group for r in log] == [r.stamp.group for r in process.delivered]
     assert verify_run(view) == verify_run(fabric) == []
     assert_same_findings(view)
@@ -313,6 +315,25 @@ def test_finished_fabric_is_audited_in_place():
     fabric.publish(0, 0)
     fabric.run()
     assert {h: len(log) for h, log in view.delivered.items()} == before
+
+
+def test_auditing_a_fabric_retains_no_object_per_delivery():
+    env = ExperimentEnv(n_hosts=6, seed=0)
+    membership = {0: frozenset({0, 1, 2, 3}), 1: frozenset({1, 2, 4, 5})}
+    fabric = env.build_fabric(env.membership_from(membership), seed=0)
+    for i in range(500):
+        fabric.publish((0, 4)[i % 2], i % 2)
+    fabric.run()
+    assert sum(len(p.delivered) for p in fabric.host_processes.values()) == 2000
+    verify_run(fabric_view(fabric))  # warm: numpy and the checks' own caches
+    gc.collect()
+    before = len(gc.get_objects())
+    view = fabric_view(fabric)
+    assert verify_run(view) == []
+    gc.collect()
+    # The view is still alive: it holds one PublishedEntry per message and
+    # nothing per delivery.
+    assert len(gc.get_objects()) - before - len(view.published) < 50
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import asyncio
 import gc
+import json
 
-from repro.obs.live import STALL_THRESHOLD_MS
+from repro.obs.live import STALL_THRESHOLD_MS, TelemetrySnapshot
 from repro.runtime.service import (
     MONITORS_REPLY_ALERTS,
     STALL_REAL_FLOOR_S,
@@ -124,14 +125,21 @@ def test_monitors_reply_fits_a_default_limit_client_after_many_alerts():
                 await _publish(service, RING[topic][index % 4], topic)
             assert (await request(reader, writer, {"op": "drain"}))["ok"]
             reply = await request(reader, writer, {"op": "monitors"})
+            metrics = await request(reader, writer, {"op": "metrics"})
             await request(reader, writer, {"op": "shutdown"})
         finally:
             writer.close()
             await asyncio.wait_for(server, timeout=10.0)
-        return reply, service.monitor
+        return reply, metrics, service.monitor
 
-    reply, monitor = asyncio.run(scenario())
+    reply, metrics, monitor = asyncio.run(scenario())
     assert reply["ok"] and monitor.warnings > 1000
+    # The ``metrics`` snapshot is cut the same way (it used to carry every
+    # retained alert and overflow the client's line limit like ``monitors``).
+    snapshot = metrics["snapshot"]
+    assert metrics["ok"] and snapshot["alerts"] == reply["alerts"]
+    assert snapshot["warnings"] == monitor.warnings
+    assert snapshot["violations"] == 0
     assert reply["warnings"] == monitor.warnings
     assert reply["violations"] == monitor.violations == 0
     assert reply["alerts_total"] == monitor.warnings + monitor.violations
@@ -152,3 +160,11 @@ def test_counters_keep_counting_past_the_alert_cap():
     monitor.observe(TraceRecord(5.0, "publish", {"msg": 9, "group": 0, "sender": 0}))
     assert len(monitor.alerts) == 2 and monitor.alerts_dropped == 3
     assert (monitor.warnings, monitor.violations) == (5, 0)
+    # A snapshot reports the monitor's counts, not a recount of what it
+    # could carry — through the wire form and a merge as well.
+    snapshot = TelemetrySnapshot.from_dict(
+        json.loads(json.dumps(TelemetrySnapshot.from_monitor(monitor).to_dict()))
+    )
+    assert (snapshot.warnings, snapshot.violations) == (5, 0)
+    assert len(snapshot.alerts) == 2 and snapshot.alerts_dropped == 3
+    assert snapshot.merge(snapshot).warnings == 10
