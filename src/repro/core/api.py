@@ -30,11 +30,21 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Uni
 from repro.core.delivery_log import DeliveryLog, DeliveryRecord
 from repro.core.protocol import OrderingFabric
 from repro.runtime.interfaces import RuntimeBackend
+from repro.runtime.trace import Trace
 from repro.pubsub.broker import SubscriptionBroker
 from repro.pubsub.membership import GroupMembership
 from repro.topology.clusters import Host, attach_hosts
 from repro.topology.gtitm import Topology, TransitStubParams, generate_transit_stub
 from repro.topology.routing import RoutingTable
+
+
+#: records a bus's trace keeps (the newest; every kind is still counted).
+#: Nothing in the bus or the service reads stored records — the live
+#: monitor subscribes — so the store is a ring sized to still hold the
+#: newest stall: about twice what a saturated live flood writes in the
+#: service's 50 ms LM303 floor (3.6 k msgs/s x 24 records/msg x 0.05 s =
+#: 4.3 k records).
+TRACE_RING_RECORDS = 8192
 
 
 class OrderingViolation(RuntimeError):
@@ -46,6 +56,11 @@ class OrderedPubSub:
 
     Runs on the discrete-event simulator by default, or live on asyncio
     tasks with ``backend="asyncio"`` — same protocol, same API.
+
+    Every epoch's fabric records into a trace ring of
+    :data:`TRACE_RING_RECORDS` records, so a long-lived bus retains a
+    bounded trace; build an :class:`~repro.core.protocol.OrderingFabric`
+    directly for a full one.
 
     Parameters
     ----------
@@ -209,6 +224,7 @@ class OrderedPubSub:
                 seed=self.seed,
                 loss_rate=self.loss_rate,
                 optimize=self.optimize,
+                trace=Trace(maxlen=TRACE_RING_RECORDS),
                 runtime=self._make_runtime(),
             )
         self._fabric.on_deliver = self._dispatch_deliver

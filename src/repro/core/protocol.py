@@ -34,7 +34,7 @@ sequencing proof depends on.
 """
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids obs coupling
     from repro.obs.profiler import PhaseProfiler
@@ -739,7 +739,10 @@ class OrderingFabric:
     graph:
         Optional pre-built sequencing graph (for ablations).
     trace:
-        Record publish/deliver events (on by default; disable for speed).
+        Record publish/deliver events (on by default; disable for speed),
+        or the :class:`~repro.runtime.trace.Trace` to record into — e.g. a
+        bounded ring, as the long-lived :class:`~repro.core.api.
+        OrderedPubSub` bus passes.
     service_time:
         Per-message processing time at sequencing nodes, in milliseconds;
         positive values turn each node into a single FIFO server so
@@ -783,7 +786,7 @@ class OrderingFabric:
         optimize: str = "greedy",
         placement: Optional[Placement] = None,
         graph: Optional[SequencingGraph] = None,
-        trace: bool = True,
+        trace: Union[bool, Trace] = True,
         retransmit_timeout: Optional[float] = None,
         service_time: float = 0.0,
         track_stability: bool = False,
@@ -825,7 +828,7 @@ class OrderingFabric:
         self.sim = runtime.scheduler
         self._rng = _random.Random(seed)
         self.network = runtime.transport
-        self.trace = Trace(enabled=trace)
+        self.trace = trace if isinstance(trace, Trace) else Trace(enabled=trace)
         runtime.attach_trace(self.trace)
         #: optional hot-path phase profiler (see repro.obs.profiler);
         #: shared with the simulator and the trace so all three attribute

@@ -46,6 +46,7 @@ from repro.core.messages import AtomId
 from repro.core.protocol import OrderingFabric
 from repro.pubsub.membership import GroupMembership
 from repro.runtime.errors import SimulationError
+from repro.runtime.trace import Trace
 
 if TYPE_CHECKING:
     from repro.core.sequencing_graph import SequencingGraph
@@ -379,7 +380,8 @@ def reconfigure(
         seed=seed,
         loss_rate=fabric.loss_rate,
         graph=graph,
-        trace=fabric.trace.enabled,
+        # A fresh trace of the same shape: a bounded ring stays bounded.
+        trace=Trace(enabled=fabric.trace.enabled, maxlen=fabric.trace.maxlen),
         retransmit_timeout=fabric.retransmit_timeout,
         # The next epoch runs on a fresh backend of the same kind (for the
         # simulated backend this is exactly what the fabric would have

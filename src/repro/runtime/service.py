@@ -258,13 +258,17 @@ class OrderingService:
             "requests_served": self.requests_served,
         }
         if fabric is not None:
+            retired = sum(
+                len(log)
+                for logs in self.bus._delivered_history.values()
+                for log in logs
+            )
             body.update(
                 now=fabric.sim.now,
                 pending=fabric.sim.pending,
                 events_executed=fabric.sim.events_executed,
-                delivered_total=sum(
-                    len(p.delivered) for p in fabric.host_processes.values()
-                ),
+                delivered_total=retired
+                + sum(len(p.delivered) for p in fabric.host_processes.values()),
                 sequencing_nodes=len(fabric.node_processes),
             )
         return body

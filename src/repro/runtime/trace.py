@@ -28,18 +28,31 @@ alias.)
   per-hop ``seq_hop`` records) additionally guard on ``trace.enabled`` so
   the disabled path skips even the keyword-argument packing; counts for
   those kinds are therefore only meaningful when tracing is on.
+
+**Storage contract**: a trace stores three columns — times, kinds and the
+``data`` dicts — not records.  A :class:`TraceRecord` is a view built when
+one is read, equal field for field to what was recorded but not the same
+object across reads.  Nothing stored per record is an object the garbage
+collector walks: times are numbers, kinds are the call sites' string
+constants, and a ``data`` dict whose values are all
+``int``/``float``/``str``/``None`` — every record kind in the tree — is
+never tracked by CPython.  (A record tuple would be: CPython untracks only
+exact tuples, and a tuple holding a dict stays tracked even then.)
 """
 
+from array import array
 from collections import deque
+from functools import partial
 from typing import (
     Any,
     Callable,
     Dict,
     Iterator,
     List,
+    MutableSequence,
     NamedTuple,
     Optional,
-    Union,
+    Tuple,
 )
 
 __all__ = ["Trace", "TraceRecord"]
@@ -48,9 +61,10 @@ __all__ = ["Trace", "TraceRecord"]
 class TraceRecord(NamedTuple):
     """A single traced occurrence: immutable, compared field by field.
 
-    A traced run keeps one of these per record (a quarter of a million on
-    the benchmark deployment), so it is a tuple — one allocation, no
-    per-field ``object.__setattr__`` as a frozen dataclass pays.
+    A trace stores columns and builds one of these per read (and one per
+    record for its subscribers, shared by all of them), so it is a tuple —
+    one allocation, no per-field ``object.__setattr__`` as a frozen
+    dataclass pays.
 
     Attributes
     ----------
@@ -72,6 +86,8 @@ class TraceRecord(NamedTuple):
 #: ``TraceRecord(time, kind, data)`` without the generated ``__new__``'s
 #: Python frame: :meth:`Trace.record` runs once per record.
 _new_record = tuple.__new__
+#: ``_view((time, kind, data))`` -> the record, for ``map`` over the columns
+_view = partial(_new_record, TraceRecord)
 
 
 class Trace:
@@ -84,9 +100,11 @@ class Trace:
     maxlen:
         Optional bound turning the log into a ring buffer that keeps only
         the newest ``maxlen`` records — for long-running runs where only
-        the recent past matters.  The per-kind index is disabled in
-        ring-buffer mode (evictions would have to be mirrored into every
-        index list), so ``select(kind=...)`` falls back to a scan.
+        the recent past matters (the long-lived
+        :class:`~repro.core.api.OrderedPubSub` bus records into one).  The
+        per-kind index is disabled in ring-buffer mode (every eviction
+        would shift every stored position), so ``select(kind=...)`` falls
+        back to a scan.
     """
 
     def __init__(self, enabled: bool = True, maxlen: Optional[int] = None):
@@ -94,13 +112,21 @@ class Trace:
             raise ValueError(f"maxlen must be positive, got {maxlen}")
         self.enabled = enabled
         self.maxlen = maxlen
-        self._records: Union["deque[TraceRecord]", List[TraceRecord]] = (
-            deque(maxlen=maxlen) if maxlen else []
-        )
-        #: per-kind index kept in lock-step with _records (None in ring mode)
-        self._by_kind: Optional[Dict[str, List[TraceRecord]]] = (
-            None if maxlen else {}
-        )
+        # Three columns appended together, so in ring mode they evict
+        # together too.
+        self._times: MutableSequence[float]
+        self._kinds: MutableSequence[str]
+        self._data: MutableSequence[Dict[str, Any]]
+        #: kind -> its records' positions in the columns (None in ring mode)
+        self._by_kind: Optional[Dict[str, "array[int]"]]
+        if maxlen is None:
+            self._times, self._kinds, self._data = [], [], []
+            self._by_kind = {}
+        else:
+            self._times = deque(maxlen=maxlen)
+            self._kinds = deque(maxlen=maxlen)
+            self._data = deque(maxlen=maxlen)
+            self._by_kind = None
         self._counts: Dict[str, int] = {}
         self._subscribers: List[Callable[[TraceRecord], None]] = []
         #: optional phase profiler (see :mod:`repro.obs.profiler`); when
@@ -110,7 +136,11 @@ class Trace:
         self.profiler: Optional[Any] = None
 
     def record(self, time: float, kind: str, **data: Any) -> None:
-        """Append one record; when disabled, only bump the kind counter."""
+        """Append one record; when disabled, only bump the kind counter.
+
+        Subscribers all receive the same :class:`TraceRecord`, built only
+        when there is one to receive it.
+        """
         counts = self._counts
         counts[kind] = counts.get(kind, 0) + 1
         if not self.enabled:
@@ -120,16 +150,19 @@ class Trace:
             profiler.enter("trace")
         else:
             profiler = None
-        rec = _new_record(TraceRecord, (time, kind, data))
-        self._records.append(rec)
-        if self._by_kind is not None:
-            index = self._by_kind.get(kind)
-            if index is None:
-                self._by_kind[kind] = [rec]
-            else:
-                index.append(rec)
-        for subscriber in self._subscribers:
-            subscriber(rec)
+        by_kind = self._by_kind
+        if by_kind is not None:
+            positions = by_kind.get(kind)
+            if positions is None:
+                positions = by_kind[kind] = array("q")
+            positions.append(len(self._times))
+        self._times.append(time)
+        self._kinds.append(kind)
+        self._data.append(data)
+        if self._subscribers:
+            rec = _new_record(TraceRecord, (time, kind, data))
+            for subscriber in self._subscribers:
+                subscriber(rec)
         if profiler is not None:
             profiler.exit()
 
@@ -164,27 +197,30 @@ class Trace:
         Kind-filtered queries use the per-kind index (no full scan) except
         in ring-buffer mode.
         """
-        source: Any
+        rows: Iterator[Tuple[float, str, Dict[str, Any]]]
         if kind is not None and self._by_kind is not None:
-            source = self._by_kind.get(kind, ())
-            kind = None  # already filtered by the index
+            times, data = self._times, self._data
+            rows = ((times[p], kind, data[p]) for p in self._by_kind.get(kind, ()))
         else:
-            source = self._records
-        for record in source:
-            if kind is not None and record.kind != kind:
-                continue
-            if all(record.data.get(k) == v for k, v in filters.items()):
-                yield record
+            rows = zip(self._times, self._kinds, self._data)
+            if kind is not None:
+                rows = (row for row in rows if row[1] == kind)
+        wanted = filters.items()
+        for row in rows:
+            if all(row[2].get(k) == v for k, v in wanted):
+                yield _new_record(TraceRecord, row)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(_view, zip(self._times, self._kinds, self._data))
 
     def clear(self) -> None:
         """Drop all records and counters (subscribers stay attached)."""
-        self._records.clear()
+        self._times.clear()
+        self._kinds.clear()
+        self._data.clear()
         if self._by_kind is not None:
             self._by_kind.clear()
         self._counts.clear()

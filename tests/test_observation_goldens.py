@@ -176,5 +176,5 @@ def test_trace_hands_subscribers_the_record_it_keeps():
     trace.subscribe(seen.append)
     trace.record(2.0, "publish", msg=1, group=0, sender=4)
     (kept,) = trace.select("publish")
-    assert seen == [kept] and seen[0] is kept
+    assert seen == [kept] and seen[0].data is kept.data
     assert kept == TraceRecord(2.0, "publish", {"msg": 1, "group": 0, "sender": 4})

@@ -2,8 +2,9 @@
 
 The collector's cost is the number of container objects alive, so the
 budget is stated in objects: a bounded number per *message*, none per
-*delivery*, none per packet in flight beyond the event itself.  No clocks:
-every assertion is a count of ``gc.get_objects()`` or of constructor calls.
+*delivery* or per *trace record*, none per packet in flight beyond the event
+itself, and a long-lived bus's trace bounded in records.  No clocks: every
+assertion is a count of ``gc.get_objects()`` or of constructor calls.
 """
 
 import gc
@@ -13,8 +14,10 @@ import types
 
 import pytest
 
+from repro.core.api import TRACE_RING_RECORDS, OrderedPubSub
 from repro.core.delivery_log import DeliveryRecord
 from repro.experiments.common import ExperimentEnv
+from repro.obs.live import LiveMonitor
 from repro.runtime.node import Process
 from repro.sim.events import Simulator
 from repro.sim.network import Channel
@@ -36,12 +39,12 @@ def tracked() -> int:
     return len(gc.get_objects())
 
 
-def growth_of(group: int, messages: int) -> "tuple[int, int]":
+def growth_of(group: int, messages: int, trace: bool = False) -> "tuple[int, int]":
     """Tracked-object growth, and deliveries made, by ``messages`` publishes
     to one group of a warmed two-group fabric run to quiescence."""
     env = ExperimentEnv(n_hosts=12, seed=0)
     fabric = env.build_fabric(
-        env.membership_from({0: NARROW, 1: WIDE}), seed=0, trace=False
+        env.membership_from({0: NARROW, 1: WIDE}), seed=0, trace=trace
     )
     sender = min(fabric.membership.members(group))
     for _ in range(20):  # channels, layouts, delivery trees, column capacity
@@ -67,6 +70,82 @@ def test_a_run_retains_objects_per_message_and_none_per_delivery():
     assert 0 < twice - narrow <= PER_MESSAGE_BUDGET * n
     # Twice the members, twice the deliveries, not one more object.
     assert wide <= narrow + 16
+
+
+def test_a_trace_retains_no_object_per_record():
+    """A traced fabric stores every record (8 a message on this group; each
+    was a tracked object while records were stored as tuples) and still
+    grows by what the untraced one grows by, give or take a constant."""
+    n = 500
+    for messages in (n, 2 * n):
+        plain, _ = growth_of(0, messages)
+        traced, _ = growth_of(0, messages, trace=True)
+        assert traced - plain <= 16
+
+
+def bus_of(hosts: int = 8) -> OrderedPubSub:
+    bus = OrderedPubSub(n_hosts=hosts, seed=1)
+    for host in range(4):
+        bus.subscribe(host, "a")
+    for host in range(2, 6):
+        bus.subscribe(host, "b")
+    return bus
+
+
+def written(bus: OrderedPubSub, messages: int) -> int:
+    """Publish ``messages`` to both topics in turn, run, count the records."""
+    trace = bus.fabric.trace
+    seen = [0]
+
+    def count(record) -> None:
+        seen[0] += 1
+
+    trace.subscribe(count)
+    for index in range(messages):
+        bus.publish(index % 4 + 2 * (index % 2), "ab"[index % 2])
+    bus.run()
+    trace.unsubscribe(count)
+    return seen[0]
+
+
+def test_a_long_lived_bus_keeps_a_ring_and_stops_growing():
+    bus = bus_of()
+    messages = total = 0
+    while total < 4 * TRACE_RING_RECORDS:
+        total += written(bus, 500)
+        messages += 500
+    trace = bus.fabric.trace
+    assert len(trace) == TRACE_RING_RECORDS == trace.maxlen
+
+    # The control is the same bus with its trace off: published messages
+    # are still retained (an item of their own), records are not.
+    control = bus_of()
+    control.fabric.trace.enabled = False
+    written(control, messages)
+    before = tracked()
+    assert written(bus, messages) == total
+    ring = tracked() - before
+    before = tracked()
+    written(control, messages)
+    quiet = tracked() - before
+    assert len(trace) == TRACE_RING_RECORDS
+    assert ring - quiet <= 16, (ring, quiet)
+
+
+def test_the_ring_and_its_monitor_survive_an_epoch_switch():
+    bus = bus_of()
+    monitor = LiveMonitor(retain_audit=False)
+    bus.add_fabric_observer(monitor.attach)
+    written(bus, 50)
+    first = bus.fabric
+    bus.subscribe(6, "a")  # an epoch switch at the next publish
+    written(bus, 50)
+    assert bus.fabric is not first and bus.fabric.epoch == first.epoch + 1
+    assert bus.fabric.trace.maxlen == first.trace.maxlen == TRACE_RING_RECORDS
+    assert bus.fabric.trace is not first.trace
+    deliveries = sum(len(bus.delivered(host)) for host in range(len(bus.hosts)))
+    assert monitor.delivered_total == deliveries == 50 * 4 + 25 * 4 + 25 * 5
+    assert (monitor.violations, monitor.warnings) == (0, 0)
 
 
 @pytest.fixture()

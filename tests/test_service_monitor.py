@@ -1,4 +1,5 @@
-"""The service's live monitor at compressed time: LM303 and the ``monitors`` verb."""
+"""The service's live monitor at compressed time: LM303, the ``monitors`` verb,
+and the ``health`` verb's counts across epoch switches."""
 
 import asyncio
 import gc
@@ -168,3 +169,33 @@ def test_counters_keep_counting_past_the_alert_cap():
     assert (snapshot.warnings, snapshot.violations) == (5, 0)
     assert len(snapshot.alerts) == 2 and snapshot.alerts_dropped == 3
     assert snapshot.merge(snapshot).warnings == 10
+
+
+def test_health_counts_the_deliveries_of_retired_epochs():
+    async def scenario():
+        service = OrderingService(n_hosts=8, seed=0, time_scale=TIME_SCALE)
+        totals = []
+
+        async def step(req):
+            assert (await service.handle(req))["ok"]
+            health = await service.handle({"op": "health"})
+            totals.append(health.get("delivered_total", 0))  # absent before a fabric
+
+        try:
+            for host in (0, 1, 2):
+                await step({"op": "subscribe", "host": host, "topic": "t"})
+            for _ in range(5):
+                await step({"op": "publish", "sender": 0, "topic": "t"})
+            await step({"op": "drain"})
+            await step({"op": "subscribe", "host": 3, "topic": "t"})
+            await step({"op": "publish", "sender": 0, "topic": "t"})  # epoch switch
+            await step({"op": "drain"})
+            logged = sum(len(service.bus.delivered(h)) for h in range(8))
+            return totals, logged, service.bus.fabric.epoch
+        finally:
+            service.bus.close()
+
+    totals, logged, epoch = asyncio.run(scenario())
+    assert epoch == 1
+    assert totals[-1] == logged == 3 * 5 + 4
+    assert totals == sorted(totals)
