@@ -30,6 +30,8 @@ class AtomRuntime:
 
     def __init__(self, atom_id: AtomId, retired: bool = False):
         self.atom_id = atom_id
+        #: how stamps and forwarding tables name it
+        self.number = atom_id.number
         #: what :meth:`process` asks of the identity on every visit, read
         #: once: an ``AtomId`` is immutable
         self._ingress_only = atom_id.is_ingress_only
@@ -41,8 +43,9 @@ class AtomRuntime:
         self.seq_counter = 0
         #: group-local counters for groups this atom ingresses
         self.group_local_counters: Dict[int, int] = {}
-        #: forwarding table: destination group -> next atom on its path
-        self.next_atom: Dict[int, Optional[AtomId]] = {}
+        #: forwarding table: destination group -> number of the next atom
+        #: on its path (``None`` where the path ends)
+        self.next_number: Dict[int, Optional[int]] = {}
         #: reverse-path table: destination group -> previous atom
         self.prev_atom: Dict[int, Optional[AtomId]] = {}
         #: messages stamped (for load accounting)
@@ -63,8 +66,17 @@ class AtomRuntime:
         self.group_local_counters[group] = seq
         return seq
 
-    def process(self, message: Message) -> Optional[AtomId]:
-        """Sequence or pass through ``message``; return the next atom.
+    @property
+    def next_atom(self) -> Dict[int, Optional[AtomId]]:
+        """The forwarding table with atoms for numbers (a copy)."""
+        return {
+            group: None if number is None else AtomId.by_number(number)
+            for group, number in self.next_number.items()
+        }
+
+    def process(self, message: Message) -> Optional[int]:
+        """Sequence or pass through ``message``; return the next atom's
+        number.
 
         The ingress atom (no previous atom for the group) also assigns the
         group-local sequence number.  Atoms associated with the message's
@@ -87,16 +99,16 @@ class AtomRuntime:
         elif self._ingress_only:
             self.messages_sequenced += 1
         elif group in self._groups:
-            message.add_atom_seq(self.atom_id, self.next_overlap_seq())
+            message.add_seq(self.number, self.next_overlap_seq())
             self.messages_sequenced += 1
         else:
             self.messages_passed_through += 1
-        return self.next_atom.get(group)
+        return self.next_number.get(group)
 
     def __repr__(self) -> str:
         return (
             f"<AtomRuntime {self.atom_id} seq={self.seq_counter} "
-            f"groups={sorted(self.next_atom)}>"
+            f"groups={sorted(self.next_number)}>"
         )
 
 
@@ -104,7 +116,7 @@ def build_atom_runtimes(graph: SequencingGraph) -> Dict[AtomId, AtomRuntime]:
     """Instantiate runtime state for every atom, wiring forwarding tables.
 
     For each group, its path atoms (including pass-through ones) get
-    ``next_atom``/``prev_atom`` entries chaining the path together; the
+    ``next_number``/``prev_atom`` entries chaining the path together; the
     first path atom (``prev_atom is None``) is the group's ingress and owns
     its group-local counter.
     """
@@ -117,7 +129,7 @@ def build_atom_runtimes(graph: SequencingGraph) -> Dict[AtomId, AtomRuntime]:
         for index, atom_id in enumerate(path):
             runtime = runtimes[atom_id]
             runtime.prev_atom[group] = path[index - 1] if index > 0 else None
-            runtime.next_atom[group] = (
-                path[index + 1] if index + 1 < len(path) else None
+            runtime.next_number[group] = (
+                path[index + 1].number if index + 1 < len(path) else None
             )
     return runtimes

@@ -34,17 +34,14 @@ messages it may have unblocked instead of rescanning the buffer.
 """
 
 import heapq
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.messages import AtomId, Stamp
 
-_ATOM_OF = itemgetter(0)
-
-#: ``(slot of the group-local counter, atoms of the group's stamps in
-#: stamp order, (position, slot, position, slot, ...) of the relevant
-#: ones)``; the atoms are ``None`` until the group's first stamp
-_Layout = Tuple[int, Optional[Tuple[AtomId, ...]], Tuple[int, ...]]
+#: ``(slot of the group-local counter, numbers of the atoms of the group's
+#: stamps in stamp order, (position, slot, position, slot, ...) of the
+#: relevant ones)``; the atoms are ``None`` until the group's first stamp
+_Layout = Tuple[int, Optional[Tuple[int, ...]], Tuple[int, ...]]
 #: ``(slot, number the stamp carries there, its stamp position)``; the
 #: position is -1 for the group-local number
 _Gap = Tuple[int, int, int]
@@ -97,14 +94,15 @@ class DeliveryState:
     ):
         self.host_id = host_id
         subscribed = list(dict.fromkeys(groups))
-        relevant = list(dict.fromkeys(relevant_atoms))
+        relevant = list(dict.fromkeys(atom_id.number for atom_id in relevant_atoms))
         #: next number accepted in each sequence space (slot), groups first
         self._expected: List[int] = [1] * (len(subscribed) + len(relevant))
         self._layouts: Dict[int, _Layout] = {
             group: (slot, None, ()) for slot, group in enumerate(subscribed)
         }
-        self._atom_slot: Dict[AtomId, int] = {
-            atom_id: slot for slot, atom_id in enumerate(relevant, len(subscribed))
+        #: atom number -> its slot
+        self._atom_slot: Dict[int, int] = {
+            number: slot for slot, number in enumerate(relevant, len(subscribed))
         }
         #: arrival index -> buffered (stamp, payload); insertion order is
         #: arrival order and survives releases from the middle
@@ -153,8 +151,9 @@ class DeliveryState:
             if group in self._layouts:
                 self._expected[self._layouts[group][0]] = expected
         for atom_id, expected in atom_next.items():
-            if atom_id in self._atom_slot:
-                self._expected[self._atom_slot[atom_id]] = expected
+            slot = self._atom_slot.get(atom_id.number)
+            if slot is not None:
+                self._expected[slot] = expected
 
     # ------------------------------------------------------------------
 
@@ -172,15 +171,15 @@ class DeliveryState:
                 f"host {self.host_id} received message for unsubscribed "
                 f"group {group}"
             ) from None
-        # Compared through a throw-away tuple; only a stamp that teaches a
-        # layout keeps its ``atoms``, and as every member of the group
-        # meets that stamp first, they all hold the one tuple.
-        if tuple(map(_ATOM_OF, stamp.atom_seqs)) != layout[1]:
-            atoms = stamp.atoms
+        # A stamp that teaches a layout lends it its ``atoms``; as every
+        # member of the group meets that stamp first, they all hold the
+        # one tuple.
+        atoms = stamp.atoms
+        if atoms != layout[1]:
             atom_slot = self._atom_slot
             relevant: List[int] = []
-            for position, atom_id in enumerate(atoms):
-                slot = atom_slot.get(atom_id)
+            for position, number in enumerate(atoms):
+                slot = atom_slot.get(number)
                 if slot is not None:
                     relevant += (position, slot)
             layout = self._layouts[group] = (layout[0], atoms, tuple(relevant))
@@ -199,11 +198,11 @@ class DeliveryState:
             return slot, have, -1
         relevant = layout[2]
         if relevant:
-            atom_seqs = stamp.atom_seqs
+            seqs = stamp.seqs
             for i in range(0, len(relevant), 2):
                 position = relevant[i]
                 slot = relevant[i + 1]
-                have = atom_seqs[position][1]
+                have = seqs[position]
                 if have != expected[slot]:
                     return slot, have, position
         return None
@@ -215,7 +214,7 @@ class DeliveryState:
                 "group", f"group:{stamp.group}", have, self._expected[slot]
             )
         return Blocking(
-            "atom", repr(stamp.atom_seqs[position][0]), have, self._expected[slot]
+            "atom", AtomId.by_number(stamp.atoms[position]).label, have, self._expected[slot]
         )
 
     def deliverable(self, stamp: Stamp) -> bool:

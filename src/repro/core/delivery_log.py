@@ -25,6 +25,7 @@ from typing import (
     Iterator,
     List,
     MutableSequence,
+    NamedTuple,
     Tuple,
     Union,
     overload,
@@ -56,7 +57,8 @@ class MessageHeader:
         return self.stamp.group
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        # Frozen and slotted: see DeliveryRecord.__reduce__.
+        # Frozen and slotted: the default reconstruction assigns the slots
+        # one by one, which a frozen dataclass refuses.
         return (
             type(self),
             (self.stamp, self.payload, self.msg_id, self.sender,
@@ -64,11 +66,14 @@ class MessageHeader:
         )
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One delivered message as observed by a receiver host."""
+class DeliveryRecord(NamedTuple):
+    """One delivered message as observed by a receiver host.
 
-    __slots__ = ("time", "stamp", "payload", "msg_id", "sender", "publish_time")
+    A tuple, compared field by field: the fabric builds one per delivery
+    for ``on_deliver`` and the log one per read, each with one
+    ``tuple.__new__`` and none of a frozen dataclass's per-field
+    ``object.__setattr__``.
+    """
 
     time: float
     stamp: Stamp
@@ -83,15 +88,6 @@ class DeliveryRecord:
         what :func:`repro.check.verify_run` reads of a delivery."""
         return self.stamp.group
 
-    def __reduce__(self) -> Tuple[Any, ...]:
-        # Frozen and slotted: the default reconstruction assigns the slots
-        # one by one, which a frozen dataclass refuses.
-        return (
-            type(self),
-            (self.time, self.stamp, self.payload, self.msg_id, self.sender,
-             self.publish_time),
-        )
-
 
 def _header_of(record: DeliveryRecord) -> MessageHeader:
     return MessageHeader(
@@ -101,9 +97,10 @@ def _header_of(record: DeliveryRecord) -> MessageHeader:
 
 
 def _record_at(time: float, header: MessageHeader) -> DeliveryRecord:
-    return DeliveryRecord(
-        time, header.stamp, header.payload, header.msg_id, header.sender,
-        header.publish_time,
+    return tuple.__new__(
+        DeliveryRecord,
+        (time, header.stamp, header.payload, header.msg_id, header.sender,
+         header.publish_time),
     )
 
 

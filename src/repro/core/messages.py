@@ -9,9 +9,8 @@ number of groups — never to group size — which is the paper's overhead
 advantage over vector timestamps (Section 2, Section 4.4).
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 #: Serialized bytes for fixed message header fields (ids, group, group seq).
@@ -43,6 +42,12 @@ class AtomId:
     key by object identity and never reaches the generated ``__eq__``.
     An ``AtomId`` constructed directly or unpickled is a separate object
     that still compares and hashes equal to the shared one.
+
+    Every identity also gets a dense ``number``, in order of first naming,
+    which stamps, forwarding tables and receivers carry instead of the
+    atom (:meth:`by_number` is the way back).  It belongs to the identity,
+    so it holds in every epoch, retired or not; like ``_hash`` it is this
+    process's own and not a field, so it never travels.
     """
 
     kind: str
@@ -52,14 +57,25 @@ class AtomId:
     INGRESS = "ingress"
 
     #: Per instance, set by ``__post_init__``; annotated ``ClassVar`` only
-    #: so that ``dataclass`` does not make a field of it.
+    #: so that ``dataclass`` does not make a field of them.
     _hash: ClassVar[int]
-    #: ``(kind, groups)`` -> the instance :meth:`overlap`/:meth:`ingress`
-    #: hand out; bounded by the number of distinct atoms ever named
+    number: ClassVar[int]
+    #: ``(kind, groups)`` -> the first instance of that identity, the one
+    #: :meth:`overlap`/:meth:`ingress` hand out; bounded by the number of
+    #: distinct atoms ever named
     _shared: ClassVar[Dict[Tuple[str, Tuple[int, ...]], "AtomId"]] = {}
+    #: number -> the shared instance
+    _numbered: ClassVar[List["AtomId"]] = []
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.groups)))
+        key = (self.kind, self.groups)
+        object.__setattr__(self, "_hash", hash(key))
+        shared = AtomId._shared.setdefault(key, self)
+        if shared is self:
+            AtomId._numbered.append(self)
+            object.__setattr__(self, "number", len(AtomId._numbered) - 1)
+        else:
+            object.__setattr__(self, "number", shared.number)
 
     def __hash__(self) -> int:
         return self._hash
@@ -83,11 +99,12 @@ class AtomId:
 
     @classmethod
     def _share(cls, kind: str, groups: Tuple[int, ...]) -> "AtomId":
-        key = (kind, groups)
-        atom = cls._shared.get(key)
-        if atom is None:
-            atom = cls._shared[key] = cls(kind, groups)
-        return atom
+        return cls._shared.get((kind, groups)) or cls(kind, groups)
+
+    @staticmethod
+    def by_number(number: int) -> "AtomId":
+        """The atom whose ``number`` this is."""
+        return _NUMBERED[number]
 
     @property
     def is_ingress_only(self) -> bool:
@@ -112,9 +129,23 @@ class AtomId:
         return self.label
 
 
-@dataclass(frozen=True)
+_NUMBERED = AtomId._numbered
+_set = object.__setattr__
+_Ints = Tuple[int, ...]
+#: ``(atom_id, sequence_number)`` pairs: a stamp's edge form
+AtomSeqs = Tuple[Tuple[AtomId, int], ...]
+
+
+def _edge_form(atoms: _Ints, seqs: _Ints) -> AtomSeqs:
+    return tuple(zip(map(_NUMBERED.__getitem__, atoms), seqs))
+
+
 class Stamp:
     """The immutable ordering information a message carries at delivery.
+
+    Built, compared, printed and pickled as the frozen record
+    ``Stamp(group, group_seq, atom_seqs)``; held as two parallel tuples of
+    ints, which receivers read and the collector stops tracking.
 
     Attributes
     ----------
@@ -122,35 +153,74 @@ class Stamp:
         Destination group id.
     group_seq:
         Group-local sequence number, assigned by the group's ingress atom.
+    atoms:
+        The :attr:`AtomId.number` of every sequencing atom associated with
+        the destination group, in path order.
+    seqs:
+        The sequence number each of ``atoms`` assigned, in the same order.
     atom_seqs:
-        ``(atom_id, sequence_number)`` pairs in path order, one per
-        sequencing atom associated with the destination group.
+        The two as ``(atom_id, sequence_number)`` pairs, built on read.
     """
+
+    __slots__ = ("group", "group_seq", "atoms", "seqs")
 
     group: int
     group_seq: int
-    atom_seqs: Tuple[Tuple[AtomId, int], ...] = ()
+    atoms: _Ints
+    seqs: _Ints
 
-    @cached_property
-    def atoms(self) -> Tuple[AtomId, ...]:
-        """The atoms of ``atom_seqs``, in order.
+    def __init__(self, group: int, group_seq: int, atom_seqs: AtomSeqs = ()):
+        numbers = tuple(atom.number for atom, _ in atom_seqs)
+        _fill(self, group, group_seq, numbers, tuple(seq for _, seq in atom_seqs))
 
-        Kept on the stamp once asked for (it is not a field), so every
-        receiver that takes a group's stamp layout from this stamp holds
-        the same tuple.
-        """
-        return tuple(map(itemgetter(0), self.atom_seqs))
+    @property
+    def atom_seqs(self) -> AtomSeqs:
+        return _edge_form(self.atoms, self.seqs)
 
     def seq_of(self, atom_id: AtomId) -> Optional[int]:
         """Sequence number this stamp carries for ``atom_id``, if any."""
-        for aid, seq in self.atom_seqs:
-            if aid == atom_id:
-                return seq
-        return None
+        try:
+            return self.seqs[self.atoms.index(atom_id.number)]
+        except ValueError:
+            return None
 
     def size_bytes(self) -> int:
         """Serialized size of the ordering information."""
-        return HEADER_BYTES + ATOM_ENTRY_BYTES * len(self.atom_seqs)
+        return HEADER_BYTES + ATOM_ENTRY_BYTES * len(self.atoms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Stamp):
+            return NotImplemented
+        return (self.group, self.group_seq, self.atoms, self.seqs) == (
+            other.group, other.group_seq, other.atoms, other.seqs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.group_seq, self.atoms, self.seqs))
+
+    def __repr__(self) -> str:
+        return (
+            f"Stamp(group={self.group!r}, group_seq={self.group_seq!r}, "
+            f"atom_seqs={self.atom_seqs!r})"
+        )
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Through the edge form: numbers are this process's own.
+        return (Stamp, (self.group, self.group_seq, self.atom_seqs))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _fill(stamp: Stamp, group: int, group_seq: int, atoms: _Ints, seqs: _Ints) -> Stamp:
+    _set(stamp, "group", group)
+    _set(stamp, "group_seq", group_seq)
+    _set(stamp, "atoms", atoms)
+    _set(stamp, "seqs", seqs)
+    return stamp
 
 
 class Message:
@@ -169,7 +239,8 @@ class Message:
         "payload",
         "publish_time",
         "group_seq",
-        "_atom_seqs",
+        "atoms",
+        "seqs",
     )
 
     def __init__(
@@ -186,7 +257,10 @@ class Message:
         self.payload = payload
         self.publish_time = publish_time
         self.group_seq: Optional[int] = None
-        self._atom_seqs: List[Tuple[AtomId, int]] = []
+        #: numbers of the atoms that stamped it and their sequence numbers,
+        #: in path order (tuples: they become the stamp's as they are)
+        self.atoms: _Ints = ()
+        self.seqs: _Ints = ()
 
     def assign_group_seq(self, seq: int) -> None:
         """Record the group-local sequence number (once, at ingress)."""
@@ -196,31 +270,33 @@ class Message:
 
     def add_atom_seq(self, atom_id: AtomId, seq: int) -> None:
         """Append an atom's sequence number (each atom stamps once)."""
-        stamped_hash = atom_id._hash
-        for aid, _ in self._atom_seqs:
-            # Cached hashes first: an int compare rules out every other
-            # atom without a call into the generated ``__eq__``.
-            if aid._hash == stamped_hash and aid == atom_id:
-                raise ValueError(
-                    f"atom {atom_id} already stamped message {self.msg_id}"
-                )
-        self._atom_seqs.append((atom_id, seq))
+        self.add_seq(atom_id.number, seq)
+
+    def add_seq(self, number: int, seq: int) -> None:
+        """:meth:`add_atom_seq` for the atom with that ``number``."""
+        if number in self.atoms:
+            raise ValueError(
+                f"atom {_NUMBERED[number]} already stamped message {self.msg_id}"
+            )
+        self.atoms += (number,)
+        self.seqs += (seq,)
 
     @property
-    def atom_seqs(self) -> Tuple[Tuple[AtomId, int], ...]:
+    def atom_seqs(self) -> AtomSeqs:
         """Atom sequence numbers collected so far, in path order."""
-        return tuple(self._atom_seqs)
+        return _edge_form(self.atoms, self.seqs)
 
     def stamp(self) -> Stamp:
         """Freeze the ordering information for delivery."""
         if self.group_seq is None:
             raise ValueError(f"message {self.msg_id} was never ingress-sequenced")
-        return Stamp(self.group, self.group_seq, tuple(self._atom_seqs))
+        stamp = object.__new__(Stamp)
+        return _fill(stamp, self.group, self.group_seq, self.atoms, self.seqs)
 
     def __repr__(self) -> str:
         return (
             f"<Message id={self.msg_id} group={self.group} sender={self.sender} "
-            f"gseq={self.group_seq} atoms={self._atom_seqs}>"
+            f"gseq={self.group_seq} atoms={list(self.atom_seqs)}>"
         )
 
 

@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids obs coupling
     from repro.obs.registry import MetricsRegistry
 
 from repro.core.atoms import AtomRuntime, build_atom_runtimes
-from repro.core.delivery import Blocking, DeliveryState
+from repro.core.delivery import DeliveryState
 from repro.core.delivery_log import DeliveryLog, DeliveryRecord, MessageHeader
 from repro.core.messages import (
     ATOM_ENTRY_BYTES,
@@ -77,6 +77,9 @@ RETRANSMIT_BACKOFF_CAP = 6
 RETRANSMIT_JITTER = 0.1
 #: Serialized size of a heartbeat ping/pong packet.
 HEARTBEAT_BYTES = 8
+#: ``DeliveryRecord(*fields)`` in one C call, without the generated
+#: ``__new__``'s Python frame: one is built per delivery for ``on_deliver``
+_new_record = tuple.__new__
 
 
 def retransmit_jitter_fraction(seq: int, attempts: int) -> float:
@@ -107,10 +110,11 @@ class DataPacket:
     __slots__ = ("message", "target_atom")
 
     message: Message
-    target_atom: AtomId
+    #: the atom's number
+    target_atom: int
 
     def size_bytes(self) -> int:
-        return HEADER_BYTES + ATOM_ENTRY_BYTES * len(self.message.atom_seqs)
+        return HEADER_BYTES + ATOM_ENTRY_BYTES * len(self.message.atoms)
 
 
 @dataclass(init=False)
@@ -312,12 +316,11 @@ class HostProcess(Process):
         self.host = host
         self.fabric = fabric
         self.delivery = delivery
-        # Forensic observers: every deliver-or-buffer decision that ends
-        # in a buffer, and every buffer release, becomes a trace record
-        # carrying the exact blocking (atom, expected_seq) gap.  The
-        # callbacks fire only on out-of-order arrivals (low volume) and
-        # skip all work while tracing is disabled, like ``seq_hop``.
-        delivery.on_buffer = self._record_buffer
+        # Forensic records: every deliver-or-buffer decision that ends in
+        # a buffer (see _handle), and every buffer release, becomes a trace
+        # record carrying the exact blocking (atom, expected_seq) gap.
+        # The drain callback fires only on out-of-order arrivals and skips
+        # all work while tracing is disabled, like ``seq_hop``.
         delivery.on_drain = self._record_drain
         #: msg_id -> virtual time it entered the hold-back buffer
         self._buffered_at: Dict[int, float] = {}
@@ -399,7 +402,10 @@ class HostProcess(Process):
         # What waits in the hold-back is the shared header; on_receive
         # returns (stamp, header) pairs in delivery order, and a record is
         # built only for a reader of this one delivery.
-        for stamp, header in self.delivery.on_receive(arrived.stamp, arrived):
+        released = self.delivery.on_receive(arrived.stamp, arrived)
+        if not released and fabric.trace.enabled:
+            self._record_buffer(arrived)
+        for stamp, header in released:
             msg_id = header.msg_id
             if isinstance(header.payload, EpochFence):
                 # Epoch fences advance the hold-back expectations like any
@@ -427,13 +433,10 @@ class HostProcess(Process):
             if fabric.on_deliver is not None:
                 fabric.on_deliver(
                     host_id,
-                    DeliveryRecord(
-                        now,
-                        stamp,
-                        header.payload,
-                        msg_id,
-                        header.sender,
-                        header.publish_time,
+                    _new_record(
+                        DeliveryRecord,
+                        (now, stamp, header.payload, msg_id, header.sender,
+                         header.publish_time),
                     ),
                 )
             if track_stability:
@@ -445,20 +448,21 @@ class HostProcess(Process):
                         StabilityAck(msg_id, host_id),
                     )
 
-    def _record_buffer(
-        self, stamp: Stamp, payload: object, blocking: Blocking
-    ) -> None:
-        """Trace a deliver-or-buffer decision that buffered the arrival."""
-        if not self.fabric.trace.enabled:
-            return
-        assert isinstance(payload, MessageHeader)
-        self._buffered_at[payload.msg_id] = self.sim.now
+    def _record_buffer(self, header: MessageHeader) -> None:
+        """Trace a deliver-or-buffer decision that buffered the arrival.
+
+        Asked after the fact, and only while tracing: a buffered arrival
+        moves no counter, so the gap named now is the one it tripped on.
+        """
+        blocking = self.delivery.blocking_of(header.stamp)
+        assert blocking is not None
+        self._buffered_at[header.msg_id] = self.sim.now
         self.fabric.trace.record(
             self.sim.now,
             "buffer",
             host=self.host.host_id,
-            msg=payload.msg_id,
-            group=stamp.group,
+            msg=header.msg_id,
+            group=header.stamp.group,
             blocked_kind=blocking.kind,
             blocked_on=blocking.key,
             have_seq=blocking.have,
@@ -508,7 +512,9 @@ class SequencingNodeProcess(Process):
         super().__init__(node, ("seq", node_id))
         self.node_id = node_id
         self.machine = machine
-        self.atom_runtimes = atom_runtimes
+        #: the co-located atoms' runtimes by atom number, as packets and
+        #: forwarding tables name them
+        self._runtimes = {r.number: r for r in atom_runtimes.values()}
         self.fabric = fabric
         #: the fabric's per-visit processing time, fixed at construction
         self._service_time = fabric.service_time
@@ -555,6 +561,11 @@ class SequencingNodeProcess(Process):
     def is_down(self) -> bool:
         """Whether the node is currently refusing traffic."""
         return self.sim.now < self._crashed_until
+
+    @property
+    def atom_runtimes(self) -> Dict[AtomId, AtomRuntime]:
+        """The co-located atoms' runtimes by atom (a copy)."""
+        return {r.atom_id: r for r in self._runtimes.values()}
 
     def receive(self, payload: Any, channel: Link) -> None:
         if self.sim.now < self._crashed_until:
@@ -623,21 +634,29 @@ class SequencingNodeProcess(Process):
         self.messages_handled += 1
         self.process_at(payload.target_atom, payload.message)
 
-    def process_at(self, atom_id: AtomId, message: Message) -> None:
-        """Run the message through co-located atoms until it leaves."""
+    def process_at(self, atom: int, message: Message) -> None:
+        """Run the message through co-located atoms, from the one numbered
+        ``atom``, until it leaves."""
         profiler = self.fabric.profiler
         if profiler is not None and profiler.enabled:
             # "sequencing" phase: atom visits plus the forwarding or
             # distribution send the visit ends in.
             profiler.enter("sequencing")
             try:
-                self._process_at(atom_id, message)
+                self._process_at(atom, message)
             finally:
                 profiler.exit()
             return
-        self._process_at(atom_id, message)
+        self._process_at(atom, message)
 
-    def _process_at(self, atom_id: AtomId, message: Message) -> None:
+    def _process_at(self, atom: int, message: Message) -> None:
+        runtimes = self._runtimes
+        runtime = runtimes.get(atom)
+        if runtime is None:
+            raise SimulationError(
+                f"atom {AtomId.by_number(atom)} routed to node {self.node_id} "
+                "but not hosted"
+            )
         trace = self.fabric.trace
         if trace.enabled:
             # Guarded: hop records are high-volume, so the disabled path
@@ -647,18 +666,11 @@ class SequencingNodeProcess(Process):
                 "seq_hop",
                 msg=message.msg_id,
                 node=self.node_id,
-                atom=atom_id.label,
-            )
-        runtimes = self.atom_runtimes
-        current = atom_id
-        runtime = runtimes.get(current)
-        if runtime is None:
-            raise SimulationError(
-                f"atom {current} routed to node {self.node_id} but not hosted"
+                atom=runtime.atom_id.label,
             )
         while True:
             if trace.enabled:
-                next_atom = self._process_traced(runtime, message, current)
+                next_atom = self._process_traced(runtime, message)
             else:
                 next_atom = runtime.process(message)
             if next_atom is None:
@@ -668,11 +680,8 @@ class SequencingNodeProcess(Process):
             if runtime is None:
                 self.fabric._send_data(self, next_atom, message)
                 return
-            current = next_atom
 
-    def _process_traced(
-        self, runtime: AtomRuntime, message: Message, current: AtomId
-    ) -> Optional[AtomId]:
+    def _process_traced(self, runtime: AtomRuntime, message: Message) -> Optional[int]:
         """One atom visit plus its forensic record (tracing-enabled path).
 
         Emits ``atom_seq`` when the visit assigned any sequence number —
@@ -681,10 +690,10 @@ class SequencingNodeProcess(Process):
         pass-through in arrival order.
         """
         group_seq_before = message.group_seq
-        stamped_before = len(message.atom_seqs)
+        stamped_before = len(message.seqs)
         next_atom = runtime.process(message)
-        entries = message.atom_seqs
-        seq = entries[-1][1] if len(entries) > stamped_before else None
+        seqs = message.seqs
+        seq = seqs[-1] if len(seqs) > stamped_before else None
         group_seq = message.group_seq if group_seq_before is None else None
         if seq is None and group_seq is None:
             self.fabric.trace.record(
@@ -692,7 +701,7 @@ class SequencingNodeProcess(Process):
                 "atom_pass",
                 msg=message.msg_id,
                 node=self.node_id,
-                atom=current.label,
+                atom=runtime.atom_id.label,
             )
         else:
             self.fabric.trace.record(
@@ -700,7 +709,7 @@ class SequencingNodeProcess(Process):
                 "atom_seq",
                 msg=message.msg_id,
                 node=self.node_id,
-                atom=current.label,
+                atom=runtime.atom_id.label,
                 seq=seq,
                 group_seq=group_seq,
             )
@@ -868,6 +877,8 @@ class OrderingFabric:
             self.network.add_process(process)
             self.host_processes[host.host_id] = process
         self.node_processes: Dict[int, SequencingNodeProcess] = {}
+        #: atom number -> the process of the node hosting it
+        self._host_of_atom: Dict[int, SequencingNodeProcess] = {}
         for node in self.placement.nodes:
             node_runtimes = {a: runtimes[a] for a in node.atom_ids}
             assert node.machine is not None, "place() assigns every machine"
@@ -876,10 +887,11 @@ class OrderingFabric:
             )
             self.network.add_process(process)
             self.node_processes[node.node_id] = process
+            self._host_of_atom.update(dict.fromkeys(process._runtimes, process))
 
         # Per-group facts of the epoch's (frozen) sequencing graph, looked
         # up on every publish and every distribution; filled on first use.
-        self._ingress: Dict[int, Tuple[AtomId, SequencingNodeProcess]] = {}
+        self._ingress: Dict[int, Tuple[int, SequencingNodeProcess]] = {}
         self._members: Dict[int, Tuple[int, ...]] = {}
 
         self._next_msg_id = 0
@@ -1229,15 +1241,13 @@ class OrderingFabric:
         )
         return msg_id
 
-    def _ingress_of(self, group: int) -> Tuple[AtomId, SequencingNodeProcess]:
-        """The group's ingress atom and the process of the node hosting it."""
+    def _ingress_of(self, group: int) -> Tuple[int, SequencingNodeProcess]:
+        """The number of the group's ingress atom and the process of the
+        node hosting it."""
         route = self._ingress.get(group)
         if route is None:
-            ingress = self.graph.ingress_atom(group)
-            node = self.placement.node_of(ingress)
-            route = self._ingress[group] = (
-                ingress, self.node_processes[node.node_id]
-            )
+            ingress = self.graph.ingress_atom(group).number
+            route = self._ingress[group] = (ingress, self._host_of_atom[ingress])
         return route
 
     def _members_of(self, group: int) -> Tuple[int, ...]:
@@ -1324,14 +1334,13 @@ class OrderingFabric:
         return outstanding
 
     def _send_data(
-        self, src: SequencingNodeProcess, target_atom: AtomId, message: Message
+        self, src: SequencingNodeProcess, target_atom: int, message: Message
     ) -> None:
-        node = self.placement.node_of(target_atom)
-        dst = self.node_processes[node.node_id]
+        dst = self._host_of_atom[target_atom]
         if dst is src:
             raise SimulationError(
-                f"atom {target_atom} is co-located with sender; should have "
-                "been processed inline"
+                f"atom {AtomId.by_number(target_atom)} is co-located with "
+                "sender; should have been processed inline"
             )
         self._transmit(src, dst, DataPacket(message, target_atom))
 

@@ -62,9 +62,9 @@ def test_process_stamps_own_groups_only():
     # Find a group with a pass-through atom (the triangle always has one).
     group = next(g for g in graph.groups() if graph.pass_through_atoms(g))
     msg = Message(1, group, sender=0)
-    current = graph.group_path(group)[0]
-    while current is not None:
-        current = runtimes[current].process(msg)
+    current = graph.group_path(group)[0].number
+    while current is not None:  # process returns the next atom's number
+        current = runtimes[AtomId.by_number(current)].process(msg)
     stamped = {atom for atom, _ in msg.atom_seqs}
     assert stamped == set(graph.atoms_of_group(group))
 
@@ -75,9 +75,9 @@ def test_process_pass_through_counts():
     group = next(g for g in graph.groups() if graph.pass_through_atoms(g))
     passthrough = graph.pass_through_atoms(group)[0]
     msg = Message(1, group, sender=0)
-    current = graph.group_path(group)[0]
-    while current is not None:
-        current = runtimes[current].process(msg)
+    current = graph.group_path(group)[0].number
+    while current is not None:  # process returns the next atom's number
+        current = runtimes[AtomId.by_number(current)].process(msg)
     assert runtimes[passthrough].messages_passed_through == 1
 
 

@@ -114,17 +114,26 @@ def test_named_constructors_share_one_instance_per_atom():
         assert {shared: "x"}[other] == "x"
 
 
-def test_stamp_atoms_is_cached_and_not_a_field():
+def test_stamp_holds_numbers_and_reads_as_pairs():
     q1, q2 = AtomId.overlap(0, 1), AtomId.overlap(0, 2)
     stamp = Stamp(0, 1, ((q1, 5), (q2, 6)))
-    assert stamp.atoms == (q1, q2)
-    assert stamp.atoms is stamp.atoms
+    assert (stamp.atoms, stamp.seqs) == ((q1.number, q2.number), (5, 6))
+    assert stamp.atom_seqs == ((q1, 5), (q2, 6))
     assert stamp == Stamp(0, 1, ((q1, 5), (q2, 6)))
-    assert "atoms=" not in repr(stamp)
-    assert [f.name for f in dataclasses.fields(stamp)] == [
-        "group", "group_seq", "atom_seqs",
-    ]
-    assert Stamp(0, 1).atoms == ()
+    assert stamp != Stamp(0, 1, ((q2, 6), (q1, 5)))
+    assert repr(stamp) == (
+        "Stamp(group=0, group_seq=1, atom_seqs=((Q(0,1), 5), (Q(0,2), 6)))"
+    )
+    assert Stamp(0, 1).atoms == Stamp(0, 1).seqs == ()
+
+
+def test_atom_numbers_belong_to_the_identity():
+    atom = AtomId.overlap(1, 2)
+    assert AtomId.by_number(atom.number) is atom
+    assert AtomId.overlap(1, 3).number != atom.number != AtomId.ingress(1).number
+    for twin in (AtomId("overlap", (1, 2)), copy.deepcopy(atom)):
+        assert twin is not atom and twin.number == atom.number
+    assert "number" not in [f.name for f in dataclasses.fields(atom)]
 
 
 def test_atom_repr():

@@ -5,7 +5,6 @@ the natural negative test: each mutation must trip exactly the check
 that claims to detect it.
 """
 
-import dataclasses
 import random
 
 from repro.check import verify_run
@@ -208,7 +207,7 @@ def test_verify_run_composes_and_orders(env32):
 def test_findings_are_runtime_verify_tool(env32):
     fabric = ran_fabric(env32)
     fabric.host_processes[0].delivered.append(
-        dataclasses.replace(fabric.host_processes[0].delivered[0])
+        fabric.host_processes[0].delivered[0]._replace()
     )
     for finding in verify_run(fabric, complete=False, causal=False):
         assert finding.tool == "runtime-verify"
