@@ -19,7 +19,7 @@ from repro.baselines.common import BaselineFabric
 from repro.core.messages import HEADER_BYTES, Stamp
 from repro.pubsub.membership import GroupMembership
 from repro.sim.network import Channel
-from repro.sim.processes import Process
+from repro.runtime.node import Process
 from repro.topology.clusters import Host
 from repro.topology.routing import RoutingTable
 

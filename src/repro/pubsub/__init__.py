@@ -15,16 +15,11 @@ or be provided by the pub/sub system — here it is an in-process store).
 """
 
 from repro.pubsub.broker import SubscriptionBroker
-from repro.pubsub.content import Constraint, ContentIndex, ContentLayer, Filter
 from repro.pubsub.membership import GroupMembership, MembershipError
 from repro.pubsub.multicast import DeliveryTree
 
 __all__ = [
-    "Constraint",
-    "ContentIndex",
-    "ContentLayer",
     "DeliveryTree",
-    "Filter",
     "GroupMembership",
     "MembershipError",
     "SubscriptionBroker",

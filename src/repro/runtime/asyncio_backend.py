@@ -12,11 +12,10 @@ Design notes
   :class:`AsyncioScheduler` exposes ``now`` / ``schedule`` /
   ``schedule_at`` / ``pending`` / ``events_executed`` /
   ``heap_high_water`` / ``profiler`` exactly like
-  :class:`~repro.sim.events.Simulator`, and :class:`AsyncioChannel` /
-  :class:`AsyncioNetwork` mirror :class:`~repro.sim.network.Channel` /
-  :class:`~repro.sim.network.Network` counter-for-counter, so the
-  protocol core, the metrics hooks, and the failover machinery run
-  unmodified.
+  :class:`~repro.sim.events.Simulator`.  The network is the one
+  :class:`~repro.sim.network.Network`, built over this scheduler: a
+  surviving packet goes on the scheduler's heap, so the protocol core,
+  the metrics hooks, and the failover machinery run unmodified.
 
 * **One heap, one armed loop timer, direct dispatch.**  The scheduler
   keeps its own ``(deadline, seq, handle)`` heap (the
@@ -47,19 +46,17 @@ import random
 from heapq import heappop, heappush
 from math import inf
 from operator import attrgetter
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.runtime.errors import RuntimeUnavailable, SimulationError
 from repro.runtime.wallclock import LiveClock, read_wall_clock
+from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.obs.profiler import PhaseProfiler
-    from repro.runtime.node import Process
     from repro.runtime.trace import Trace
 
-__all__ = ["AsyncioChannel", "AsyncioNetwork", "AsyncioScheduler", "AsyncioTransport"]
+__all__ = ["AsyncioScheduler", "AsyncioTransport"]
 
 #: default ceiling on real seconds one ``run()`` call may consume before
 #: raising — a safety net so a live-runtime bug cannot hang CI forever
@@ -233,285 +230,6 @@ class AsyncioScheduler:
         return f"<AsyncioScheduler now={self.now:.3f} pending={self.pending}>"
 
 
-class AsyncioChannel:
-    """A unidirectional FIFO link over the live scheduler's heap.
-
-    Mirrors :class:`~repro.sim.network.Channel`: constant propagation
-    delay, Bernoulli loss injection, outage windows, and the same counter
-    set.  An arrival calls the destination process's ``receive``
-    directly, from the scheduler's batch.
-    """
-
-    def __init__(
-        self,
-        network: "AsyncioNetwork",
-        src: "Process",
-        dst: "Process",
-        delay: float,
-        loss_rate: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ):
-        if delay < 0:
-            raise ValueError(f"channel delay must be non-negative, got {delay}")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        if loss_rate > 0 and rng is None:
-            raise ValueError("loss_rate > 0 requires an rng")
-        self._scheduler = network.scheduler
-        self.src = src
-        self.dst = dst
-        self.delay = delay
-        self.loss_rate = loss_rate
-        self._rng = rng
-        self._last_delivery_time = 0.0
-        self._down_until = 0.0
-        self.sends = 0
-        self.loss_drops = 0
-        self.outage_drops = 0
-        self.bytes_sent = 0
-        self.receives = 0
-        self.in_flight = 0
-        self.in_flight_high_water = 0
-        #: bound once, not per send (see sim.network.Channel)
-        self._on_arrival = self._arrive
-
-    @property
-    def drops(self) -> int:
-        """Total packets dropped, whatever the cause."""
-        return self.loss_drops + self.outage_drops
-
-    def fail(self, duration: float) -> None:
-        """Take the link down for ``duration`` virtual milliseconds."""
-        if duration <= 0:
-            raise ValueError(f"outage duration must be positive, got {duration}")
-        self._down_until = max(self._down_until, self._scheduler.now + duration)
-
-    @property
-    def is_down(self) -> bool:
-        """Whether the link is currently in an outage window."""
-        return self._scheduler.now < self._down_until
-
-    def send(self, payload: Any, size_bytes: int = 0) -> bool:
-        """Transmit ``payload``; returns ``False`` if dropped."""
-        self.sends += 1
-        self.src.messages_sent += 1
-        self.bytes_sent += size_bytes
-        scheduler = self._scheduler
-        now = scheduler.now
-        if now < self._down_until:
-            self.outage_drops += 1
-            return False
-        if self.loss_rate > 0:
-            assert self._rng is not None  # enforced by the constructor
-            if self._rng.random() < self.loss_rate:
-                self.loss_drops += 1
-                return False
-        # FIFO: arrivals never decrease, and the heap breaks ties by
-        # push order.
-        arrival = now + self.delay
-        if arrival < self._last_delivery_time:
-            arrival = self._last_delivery_time
-        self._last_delivery_time = arrival
-        scheduler.schedule_at(arrival, self._on_arrival, payload)
-        self.in_flight += 1
-        if self.in_flight > self.in_flight_high_water:
-            self.in_flight_high_water = self.in_flight
-        return True
-
-    def _arrive(self, payload: Any) -> None:
-        self.in_flight -= 1
-        self.receives += 1
-        self.dst.messages_received += 1
-        self.dst.receive(payload, self)
-
-    def __repr__(self) -> str:
-        return (
-            f"<AsyncioChannel {self.src.name!r}->{self.dst.name!r} "
-            f"delay={self.delay:.3f} sends={self.sends}>"
-        )
-
-
-class AsyncioNetwork:
-    """Process registry + live channels.
-
-    API-compatible with :class:`~repro.sim.network.Network` (lazy connect,
-    partition cuts with inheritance, channel retirement with carried
-    counters, ``total_*`` aggregates) so the fabric and the observability
-    hooks work unchanged.
-    """
-
-    _CARRIED_STATS = (
-        "sends",
-        "loss_drops",
-        "outage_drops",
-        "bytes_sent",
-        "receives",
-    )
-
-    def __init__(
-        self,
-        scheduler: AsyncioScheduler,
-        loss_rate: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ):
-        self.scheduler = scheduler
-        self.loss_rate = loss_rate
-        self.rng = rng
-        self._processes: Dict[Any, "Process"] = {}
-        self._channels: Dict[Tuple[Any, Any], AsyncioChannel] = {}
-        self._cuts: List[Tuple[float, FrozenSet[Any], Optional[FrozenSet[Any]]]] = []
-        self._retired_totals: Dict[str, int] = {k: 0 for k in self._CARRIED_STATS}
-        self.channels_retired = 0
-        #: edges retired by failover and not since re-created (GV206)
-        self._retired_keys: Set[Tuple[Any, Any]] = set()
-
-    # -- registry ----------------------------------------------------------
-
-    def add_process(self, process: "Process") -> "Process":
-        """Register a process; names must be unique."""
-        if process.name in self._processes:
-            raise ValueError(f"duplicate process name {process.name!r}")
-        self._processes[process.name] = process
-        return process
-
-    def process(self, name: Any) -> "Process":
-        """Look up a registered process by name."""
-        return self._processes[name]
-
-    def __contains__(self, name: Any) -> bool:
-        return name in self._processes
-
-    # -- channels ----------------------------------------------------------
-
-    def connect(self, src_name: Any, dst_name: Any, delay: float) -> AsyncioChannel:
-        """Create (or fetch) the unidirectional channel ``src -> dst``."""
-        key = (src_name, dst_name)
-        existing = self._channels.get(key)
-        if existing is not None:
-            if existing.delay != delay:
-                raise ValueError(
-                    f"channel {key} already exists with delay "
-                    f"{existing.delay}, refusing {delay}"
-                )
-            return existing
-        channel = AsyncioChannel(
-            self,
-            self._processes[src_name],
-            self._processes[dst_name],
-            delay,
-            loss_rate=self.loss_rate,
-            rng=self.rng,
-        )
-        self._channels[key] = channel
-        # A re-created edge (post-failover reconnect) is live again.
-        self._retired_keys.discard(key)
-        # A channel created while a partition cut is active inherits the
-        # remaining outage window (matches the simulated network).
-        for heal_time, side_a, side_b in self._active_cuts():
-            if _crosses_cut(src_name, dst_name, side_a, side_b):
-                remaining = heal_time - self.scheduler.now
-                if remaining > 0:
-                    channel.fail(remaining)
-        return channel
-
-    def channel(self, src_name: Any, dst_name: Any) -> AsyncioChannel:
-        """Fetch an existing channel; raises ``KeyError`` if absent."""
-        return self._channels[(src_name, dst_name)]
-
-    @property
-    def channels(self) -> Dict[Tuple[Any, Any], AsyncioChannel]:
-        """Read-only view of all live channels (for metrics)."""
-        return dict(self._channels)
-
-    # -- fault injection ---------------------------------------------------
-
-    def _active_cuts(
-        self,
-    ) -> List[Tuple[float, FrozenSet[Any], Optional[FrozenSet[Any]]]]:
-        self._cuts = [cut for cut in self._cuts if cut[0] > self.scheduler.now]
-        return self._cuts
-
-    def partition(
-        self,
-        side: FrozenSet[Any],
-        duration: float,
-        side_b: Optional[FrozenSet[Any]] = None,
-    ) -> int:
-        """Cut ``side`` off from ``side_b`` (default: everything else)."""
-        if duration <= 0:
-            raise ValueError(f"partition duration must be positive, got {duration}")
-        side = frozenset(side)
-        other = frozenset(side_b) if side_b is not None else None
-        self._cuts.append((self.scheduler.now + duration, side, other))
-        failed = 0
-        for (src_name, dst_name), channel in self._channels.items():
-            if _crosses_cut(src_name, dst_name, side, other):
-                channel.fail(duration)
-                failed += 1
-        return failed
-
-    def retire_channels(self, name: Any) -> int:
-        """Remove every channel touching process ``name`` (failover).
-
-        Counters fold into the retired totals (aggregates stay
-        monotonic); packets already on a retired channel's wire still
-        deliver, exactly like the simulated network.
-        """
-        retired = [
-            key for key in self._channels if key[0] == name or key[1] == name
-        ]
-        for key in retired:
-            channel = self._channels.pop(key)
-            for stat in self._CARRIED_STATS:
-                self._retired_totals[stat] += getattr(channel, stat)
-        self.channels_retired += len(retired)
-        self._retired_keys.update(retired)
-        return len(retired)
-
-    @property
-    def retired_edges(self) -> Set[Tuple[Any, Any]]:
-        """Edges retired by failover and not re-created since."""
-        return set(self._retired_keys)
-
-    # -- aggregates --------------------------------------------------------
-
-    def total_bytes_sent(self) -> int:
-        """Aggregate wire bytes across all channels (including retired)."""
-        return (
-            sum(c.bytes_sent for c in self._channels.values())
-            + self._retired_totals["bytes_sent"]
-        )
-
-    def total_sends(self) -> int:
-        """Aggregate packet transmissions across all channels."""
-        return (
-            sum(c.sends for c in self._channels.values())
-            + self._retired_totals["sends"]
-        )
-
-    def total_drops(self) -> int:
-        """Aggregate packets lost to loss injection or outages."""
-        return self.total_loss_drops() + self.total_outage_drops()
-
-    def total_loss_drops(self) -> int:
-        """Aggregate packets lost to Bernoulli loss injection."""
-        return (
-            sum(c.loss_drops for c in self._channels.values())
-            + self._retired_totals["loss_drops"]
-        )
-
-    def total_outage_drops(self) -> int:
-        """Aggregate packets lost to link outages / partitions."""
-        return (
-            sum(c.outage_drops for c in self._channels.values())
-            + self._retired_totals["outage_drops"]
-        )
-
-    def total_in_flight(self) -> int:
-        """Packets currently propagating across all channels."""
-        return sum(c.in_flight for c in self._channels.values())
-
-
 class AsyncioTransport:
     """Live runtime backend: one timer heap on an event loop, real clock.
 
@@ -562,7 +280,7 @@ class AsyncioTransport:
         self._loop = loop
         self.clock = LiveClock(time_scale=time_scale)
         self.scheduler = AsyncioScheduler(loop, self.clock)
-        self.transport = AsyncioNetwork(
+        self.transport = Network(
             self.scheduler, loss_rate=loss_rate, rng=random.Random(seed + 1)
         )
         self._trace: Optional["Trace"] = None
@@ -678,16 +396,3 @@ class AsyncioTransport:
             f"pending={self.scheduler.pending}>"
         )
 
-
-def _crosses_cut(
-    src_name: Any,
-    dst_name: Any,
-    side: FrozenSet[Any],
-    side_b: Optional[FrozenSet[Any]],
-) -> bool:
-    """Whether the directed channel ``src -> dst`` crosses the cut."""
-    if side_b is None:
-        return (src_name in side) != (dst_name in side)
-    return (src_name in side and dst_name in side_b) or (
-        src_name in side_b and dst_name in side
-    )

@@ -4,8 +4,6 @@
 for compatibility: it is raised on *runtime misuse* — scheduling in the
 past, re-entrant event-loop runs, protocol invariant breaches — whether
 the runtime is the discrete-event simulator or the live asyncio backend.
-``repro.sim.events`` re-exports it as a deprecated alias so existing
-``from repro.sim.events import SimulationError`` imports keep working.
 """
 
 __all__ = ["RuntimeUnavailable", "SimulationError"]

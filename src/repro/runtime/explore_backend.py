@@ -9,6 +9,14 @@ fires next.  That turns "what order do events happen in" from a property
 of a time heap into a *choice point*, which is exactly what systematic
 interleaving exploration needs.
 
+The network is the one :class:`~repro.sim.network.Network` every backend
+uses: registry, lazy ``connect``, partition cuts, retirement and the
+``total_*`` aggregates are inherited, not restated.
+:class:`ExploreChannel` and :class:`ExploreNetwork` override three steps:
+where an admitted packet goes (the wire queue), which RNG a new channel
+draws loss from, and what retirement keeps (a channel with packets still
+on its wire).
+
 Design constraints, all in service of the model checker:
 
 * **Stable identity** — a transition is addressed by the channel it pops
@@ -40,18 +48,21 @@ controller is attached.
 import random
 from collections import deque
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Deque,
     Dict,
-    FrozenSet,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
 from repro.runtime.errors import SimulationError
+from repro.sim.network import Channel, Network
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.obs.profiler import PhaseProfiler
 
 __all__ = [
     "ExploreChannel",
@@ -109,7 +120,7 @@ class ExploreScheduler:
         self._now = 0.0
         self._seq = 0
         self.events_executed = 0
-        self.profiler = None
+        self.profiler: Optional["PhaseProfiler"] = None
         self._timers: Dict[int, _ExploreTimer] = {}
         #: timers scheduled while True are "plan" timers (fault actions)
         self._recording_plan = True
@@ -179,81 +190,25 @@ class ExploreScheduler:
         return f"<ExploreScheduler now={self._now:.6f} pending={self.pending}>"
 
 
-class ExploreChannel:
-    """A FIFO wire queue standing in for a scheduled-delivery channel.
+class ExploreChannel(Channel):
+    """A :class:`~repro.sim.network.Channel` whose wire is a FIFO queue.
 
-    Loss and outage decisions happen at *send* time exactly like the sim
-    transport's; what differs is that surviving packets wait on the wire
-    queue for the controller instead of on a time heap.  Each queued entry
-    remembers its FIFO-monotonic earliest arrival so delivering it can
-    advance the virtual clock consistently.
+    Loss and outage decisions happen at *send* time exactly like every
+    other backend's; what differs is the one step after them: a surviving
+    packet waits on :attr:`wire` for the controller instead of on a time
+    heap.  Each queued entry remembers its FIFO-monotonic earliest arrival
+    so delivering it can advance the virtual clock consistently.
     """
 
-    def __init__(
-        self,
-        scheduler: ExploreScheduler,
-        src: Any,
-        dst: Any,
-        delay: float,
-        loss_rate: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ):
-        if delay < 0:
-            raise ValueError(f"channel delay must be non-negative, got {delay}")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        if loss_rate > 0 and rng is None:
-            raise ValueError("loss_rate > 0 requires an rng")
+    def __init__(self, scheduler: ExploreScheduler, *args: Any, **kwargs: Any):
+        super().__init__(scheduler, *args, **kwargs)
         self.scheduler = scheduler
-        self.src = src
-        self.dst = dst
-        self.delay = delay
-        self.loss_rate = loss_rate
-        self._rng = rng
-        self._last_delivery_time = 0.0
-        self._down_until = 0.0
-        self.sends = 0
-        self.loss_drops = 0
-        self.outage_drops = 0
-        self.bytes_sent = 0
-        self.receives = 0
-        self.in_flight = 0
-        self.in_flight_high_water = 0
         #: queued (payload, earliest arrival, creation seq) entries
         self.wire: Deque[Tuple[Any, float, int]] = deque()
+        self._put = self._enqueue
 
-    @property
-    def drops(self) -> int:
-        return self.loss_drops + self.outage_drops
-
-    @property
-    def is_down(self) -> bool:
-        return self.scheduler.now < self._down_until
-
-    def fail(self, duration: float) -> None:
-        if duration <= 0:
-            raise ValueError(f"outage duration must be positive, got {duration}")
-        self._down_until = max(self._down_until, self.scheduler.now + duration)
-
-    def send(self, payload: Any, size_bytes: int = 0) -> bool:
-        self.sends += 1
-        self.src.messages_sent += 1
-        self.bytes_sent += size_bytes
-        if self.is_down:
-            self.outage_drops += 1
-            return False
-        if self.loss_rate > 0:
-            assert self._rng is not None  # enforced by the constructor
-            if self._rng.random() < self.loss_rate:
-                self.loss_drops += 1
-                return False
-        arrival = max(self.scheduler.now + self.delay, self._last_delivery_time)
-        self._last_delivery_time = arrival
+    def _enqueue(self, arrival: float, _callback: Any, payload: Any) -> None:
         self.wire.append((payload, arrival, self.scheduler.next_seq()))
-        self.in_flight += 1
-        if self.in_flight > self.in_flight_high_water:
-            self.in_flight_high_water = self.in_flight
-        return True
 
     def head(self) -> Optional[Tuple[Any, float, int]]:
         """The next deliverable entry, or ``None`` for an empty wire."""
@@ -266,35 +221,20 @@ class ExploreChannel:
         payload, arrival, _seq = self.wire.popleft()
         self.scheduler.advance_to(arrival)
         self.scheduler.events_executed += 1
-        self.in_flight -= 1
-        self.receives += 1
-        self.dst.messages_received += 1
-        self.dst.receive(payload, self)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ExploreChannel {self.src.name!r}->{self.dst.name!r} "
-            f"delay={self.delay:.3f} queued={len(self.wire)}>"
-        )
+        self._deliver(payload)
 
 
-class ExploreNetwork:
-    """Process registry + wire-queue channels for the explorer.
+class ExploreNetwork(Network):
+    """The shared :class:`~repro.sim.network.Network` over wire-queue channels.
 
-    Mirrors :class:`repro.sim.network.Network`'s full surface (partition
-    cuts with inheritance, channel retirement folding stats into retired
-    totals, ``total_*`` aggregates) so the protocol core cannot tell the
-    difference.  Retired channels whose wire still holds packets remain
-    deliverable — packets on the wire were sent before the failover.
+    Two steps differ from the sim and asyncio backends: every channel
+    draws loss from its own RNG, and a retired channel whose wire still
+    holds packets stays deliverable — those packets were sent before the
+    failover.
     """
 
-    _CARRIED_STATS = (
-        "sends",
-        "loss_drops",
-        "outage_drops",
-        "bytes_sent",
-        "receives",
-    )
+    channel_class = ExploreChannel
+    _channels: Dict[Tuple[Any, Any], ExploreChannel]
 
     def __init__(
         self,
@@ -302,18 +242,10 @@ class ExploreNetwork:
         loss_rate: float = 0.0,
         seed: int = 0,
     ):
-        self.scheduler = scheduler
-        self.loss_rate = loss_rate
+        super().__init__(scheduler, loss_rate=loss_rate)
         self.seed = seed
-        self._processes: Dict[Any, Any] = {}
-        self._channels: Dict[Tuple[Any, Any], ExploreChannel] = {}
-        self._cuts: List[Tuple[float, FrozenSet[Any], Optional[FrozenSet[Any]]]] = []
-        self._retired_totals: Dict[str, int] = {k: 0 for k in self._CARRIED_STATS}
-        self.channels_retired = 0
         #: retired channels with packets still on the wire, in retirement order
         self._retired_inflight: List[Tuple[Tuple[Any, Any], ExploreChannel]] = []
-        #: channel keys retired and not since re-created (certificate audit)
-        self._retired_keys: Set[Tuple[Any, Any]] = set()
         scheduler.pending_sources.append(self.queued_payloads)
 
     def _channel_rng(self, key: Tuple[Any, Any]) -> Optional[random.Random]:
@@ -324,99 +256,10 @@ class ExploreNetwork:
         # soundness), so the shared-stream sim idiom is out.
         return random.Random(f"{self.seed}|{key[0]!r}->{key[1]!r}")
 
-    def add_process(self, process: Any) -> Any:
-        if process.name in self._processes:
-            raise ValueError(f"duplicate process name {process.name!r}")
-        self._processes[process.name] = process
-        return process
-
-    def process(self, name: Any) -> Any:
-        return self._processes[name]
-
-    def __contains__(self, name: Any) -> bool:
-        return name in self._processes
-
-    def connect(self, src_name: Any, dst_name: Any, delay: float) -> ExploreChannel:
-        key = (src_name, dst_name)
-        existing = self._channels.get(key)
-        if existing is not None:
-            if existing.delay != delay:
-                raise ValueError(
-                    f"channel {key} already exists with delay "
-                    f"{existing.delay}, refusing {delay}"
-                )
-            return existing
-        channel = ExploreChannel(
-            self.scheduler,
-            self._processes[src_name],
-            self._processes[dst_name],
-            delay,
-            loss_rate=self.loss_rate,
-            rng=self._channel_rng(key),
-        )
-        self._channels[key] = channel
-        self._retired_keys.discard(key)
-        for heal_time, side_a, side_b in self._active_cuts():
-            if _crosses_cut(src_name, dst_name, side_a, side_b):
-                remaining = heal_time - self.scheduler.now
-                if remaining > 0:
-                    channel.fail(remaining)
-        return channel
-
-    def channel(self, src_name: Any, dst_name: Any) -> ExploreChannel:
-        return self._channels[(src_name, dst_name)]
-
-    @property
-    def channels(self) -> Dict[Tuple[Any, Any], ExploreChannel]:
-        return dict(self._channels)
-
-    @property
-    def retired_edges(self) -> Set[Tuple[Any, Any]]:
-        """Channel keys retired by failover and not re-created since."""
-        return set(self._retired_keys)
-
-    # -- fault injection ---------------------------------------------------
-
-    def _active_cuts(
-        self,
-    ) -> List[Tuple[float, FrozenSet[Any], Optional[FrozenSet[Any]]]]:
-        self._cuts = [cut for cut in self._cuts if cut[0] > self.scheduler.now]
-        return self._cuts
-
-    def partition(
-        self,
-        side: FrozenSet[Any],
-        duration: float,
-        side_b: Optional[FrozenSet[Any]] = None,
-    ) -> int:
-        if duration <= 0:
-            raise ValueError(f"partition duration must be positive, got {duration}")
-        side = frozenset(side)
-        other = frozenset(side_b) if side_b is not None else None
-        self._cuts.append((self.scheduler.now + duration, side, other))
-        failed = 0
-        for (src_name, dst_name), channel in self._channels.items():
-            if _crosses_cut(src_name, dst_name, side, other):
-                channel.fail(duration)
-                failed += 1
-        return failed
-
-    def retire_channels(self, name: Any) -> int:
-        retired = [
-            key for key in self._channels if key[0] == name or key[1] == name
-        ]
-        for key in retired:
-            channel = self._channels.pop(key)
-            for stat in self._CARRIED_STATS:
-                self._retired_totals[stat] += getattr(channel, stat)
-            self._retired_keys.add(key)
-            if channel.wire:
-                # In-flight packets were on the wire before the failover;
-                # they still deliver, like the sim transport's scheduled
-                # deliveries on a retired channel.
-                self._retired_inflight.append((key, channel))
-        self.channels_retired += len(retired)
-        return len(retired)
+    def _keep_retired(self, key: Tuple[Any, Any], channel: Channel) -> None:
+        assert isinstance(channel, ExploreChannel)
+        if channel.wire:
+            self._retired_inflight.append((key, channel))
 
     # -- controller surface ------------------------------------------------
 
@@ -428,9 +271,10 @@ class ExploreNetwork:
         replayed schedule finds the same queue even after the same key was
         re-created live.
         """
+        channels = self._channels
         sources: List[Tuple[Tuple[Any, ...], ExploreChannel]] = []
-        for key in sorted(self._channels, key=repr):
-            channel = self._channels[key]
+        for key in sorted(channels, key=repr):
+            channel = channels[key]
             if channel.wire:
                 sources.append(((repr(key[0]), repr(key[1])), channel))
         self._retired_inflight = [
@@ -446,43 +290,6 @@ class ExploreNetwork:
         """Packets waiting on any wire (live or retired in-flight)."""
         live = sum(len(c.wire) for c in self._channels.values())
         return live + sum(len(c.wire) for _key, c in self._retired_inflight)
-
-    # -- aggregates --------------------------------------------------------
-
-    def _all_channels(self) -> List[ExploreChannel]:
-        return list(self._channels.values()) + [
-            c for _key, c in self._retired_inflight
-        ]
-
-    def total_bytes_sent(self) -> int:
-        return (
-            sum(c.bytes_sent for c in self._channels.values())
-            + self._retired_totals["bytes_sent"]
-        )
-
-    def total_sends(self) -> int:
-        return (
-            sum(c.sends for c in self._channels.values())
-            + self._retired_totals["sends"]
-        )
-
-    def total_drops(self) -> int:
-        return self.total_loss_drops() + self.total_outage_drops()
-
-    def total_loss_drops(self) -> int:
-        return (
-            sum(c.loss_drops for c in self._channels.values())
-            + self._retired_totals["loss_drops"]
-        )
-
-    def total_outage_drops(self) -> int:
-        return (
-            sum(c.outage_drops for c in self._channels.values())
-            + self._retired_totals["outage_drops"]
-        )
-
-    def total_in_flight(self) -> int:
-        return sum(c.in_flight for c in self._all_channels())
 
 
 class ExploreTransport:
@@ -555,16 +362,3 @@ class ExploreTransport:
     def attach_trace(self, trace: Any) -> None:
         """The explorer records schedules itself; the trace is unused here."""
 
-
-def _crosses_cut(
-    src_name: Any,
-    dst_name: Any,
-    side: FrozenSet[Any],
-    side_b: Optional[FrozenSet[Any]],
-) -> bool:
-    """Whether the directed channel ``src -> dst`` crosses the cut."""
-    if side_b is None:
-        return (src_name in side) != (dst_name in side)
-    return (src_name in side and dst_name in side_b) or (
-        src_name in side_b and dst_name in side
-    )

@@ -172,7 +172,6 @@ class Transport(Protocol):
     def total_drops(self) -> int: ...
     def total_loss_drops(self) -> int: ...
     def total_outage_drops(self) -> int: ...
-    def total_in_flight(self) -> int: ...
 
 
 @runtime_checkable

@@ -11,24 +11,23 @@ The kernel is deliberately small and deterministic:
 
 * :class:`~repro.sim.events.Simulator` — a heap-based event loop with stable
   tie-breaking, so two runs with the same seed produce identical schedules.
-* :class:`~repro.sim.network.Channel` — a FIFO, constant-propagation-delay
-  link between two processes, with optional Bernoulli loss.
-* :class:`~repro.sim.processes.Process` — base class for simulated nodes.
-* :class:`~repro.sim.trace.Trace` — structured event recording for metrics.
+* :class:`~repro.sim.network.Channel` / :class:`~repro.sim.network.Network`
+  — FIFO, constant-propagation-delay links with optional Bernoulli loss,
+  and the registry that owns them.  This is the one network of every
+  backend: the simulator and the asyncio scheduler put a surviving packet
+  on their timer heap, the explorer on a wire queue its controller pops.
+
+The process base class, the trace and the runtime errors are
+transport-neutral and live in :mod:`repro.runtime.node`,
+:mod:`repro.runtime.trace` and :mod:`repro.runtime.errors`.
 """
 
-from repro.sim.events import EventHandle, Simulator, SimulationError
+from repro.sim.events import EventHandle, Simulator
 from repro.sim.network import Channel, Network
-from repro.sim.processes import Process
-from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "Channel",
     "EventHandle",
     "Network",
-    "Process",
-    "SimulationError",
     "Simulator",
-    "Trace",
-    "TraceRecord",
 ]

@@ -18,15 +18,12 @@ import heapq
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
-# SimulationError moved to the transport-neutral runtime layer; this
-# re-export keeps the historical ``from repro.sim.events import
-# SimulationError`` import path working (deprecated alias).
 from repro.runtime.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids obs coupling
     from repro.obs.profiler import PhaseProfiler
 
-__all__ = ["EventHandle", "SimulationError", "Simulator"]
+__all__ = ["EventHandle", "Simulator"]
 
 
 class EventHandle:

@@ -17,13 +17,21 @@ outages* (a window during which every send on a channel is dropped) and
 the cut is active inherit the remaining outage window).  Drops are
 attributed to their cause — random loss vs. outage — so chaos reports can
 explain where packets went.
+
+One :class:`Network` serves every backend.  It is typed against the node
+handle (anything with ``now`` and ``schedule_at``), so the simulator's
+heap and the asyncio scheduler's heap use it unchanged; the explorer
+subclasses it to queue surviving packets on a wire for its controller
+(:mod:`repro.runtime.explore_backend`).
 """
 
 import random
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.sim.events import Simulator
-from repro.sim.processes import Process
+from repro.runtime.node import Process
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.runtime.interfaces import NodeHandle
 
 
 class Channel:
@@ -31,8 +39,8 @@ class Channel:
 
     Parameters
     ----------
-    sim:
-        The simulator to schedule deliveries on.
+    node:
+        The node handle (clock + timers) that schedules deliveries.
     src, dst:
         Endpoint processes.
     delay:
@@ -45,7 +53,7 @@ class Channel:
 
     def __init__(
         self,
-        sim: Simulator,
+        node: "NodeHandle",
         src: Process,
         dst: Process,
         delay: float,
@@ -58,7 +66,7 @@ class Channel:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if loss_rate > 0 and rng is None:
             raise ValueError("loss_rate > 0 requires an rng")
-        self.sim = sim
+        self.node = node
         self.src = src
         self.dst = dst
         self.delay = delay
@@ -79,6 +87,9 @@ class Channel:
         #: the one callback every send schedules: ``self._deliver`` in the
         #: send would allocate a bound method per packet in flight
         self._on_arrival = self._deliver
+        #: where an admitted packet goes, ``put(arrival, callback, payload)``:
+        #: the node's timer heap, bound once so a send pays no extra frame
+        self._put: Callable[..., Any] = node.schedule_at
 
     @property
     def drops(self) -> int:
@@ -94,12 +105,12 @@ class Channel:
         """
         if duration <= 0:
             raise ValueError(f"outage duration must be positive, got {duration}")
-        self._down_until = max(self._down_until, self.sim.now + duration)
+        self._down_until = max(self._down_until, self.node.now + duration)
 
     @property
     def is_down(self) -> bool:
         """Whether the link is currently in an outage window."""
-        return self.sim.now < self._down_until
+        return self.node.now < self._down_until
 
     def send(self, payload: Any, size_bytes: int = 0) -> bool:
         """Transmit ``payload`` to the destination process.
@@ -111,8 +122,7 @@ class Channel:
         self.sends += 1
         self.src.messages_sent += 1
         self.bytes_sent += size_bytes
-        sim = self.sim
-        now = sim.now
+        now = self.node.now
         if now < self._down_until:
             self.outage_drops += 1
             return False
@@ -126,7 +136,7 @@ class Channel:
         if arrival < self._last_delivery_time:
             arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        sim.schedule_at(arrival, self._on_arrival, payload)
+        self._put(arrival, self._on_arrival, payload)
         self.in_flight += 1
         if self.in_flight > self.in_flight_high_water:
             self.in_flight_high_water = self.in_flight
@@ -140,7 +150,7 @@ class Channel:
 
     def __repr__(self) -> str:
         return (
-            f"<Channel {self.src.name!r}->{self.dst.name!r} "
+            f"<{type(self).__name__} {self.src.name!r}->{self.dst.name!r} "
             f"delay={self.delay:.3f} sends={self.sends}>"
         )
 
@@ -150,8 +160,13 @@ class Network:
 
     The network creates channels on demand from a delay oracle — typically
     a :class:`~repro.topology.routing.RoutingTable` that returns shortest-
-    path delays between the machines hosting the two processes.
+    path delays between the machines hosting the two processes.  A
+    subclass changes which channel class it builds, which RNG a new
+    channel draws loss from (:meth:`_channel_rng`) and what retirement
+    keeps (:meth:`_keep_retired`); everything else is shared.
     """
+
+    channel_class = Channel
 
     #: channel counters carried over when channels are retired (failover)
     _CARRIED_STATS = (
@@ -164,11 +179,11 @@ class Network:
 
     def __init__(
         self,
-        sim: Simulator,
+        node: "NodeHandle",
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
     ):
-        self.sim = sim
+        self.node = node
         self.loss_rate = loss_rate
         self.rng = rng
         self._processes: Dict[Any, Process] = {}
@@ -214,13 +229,13 @@ class Network:
                     f"{existing.delay}, refusing {delay}"
                 )
             return existing
-        channel = Channel(
-            self.sim,
+        channel = self.channel_class(
+            self.node,
             self._processes[src_name],
             self._processes[dst_name],
             delay,
             loss_rate=self.loss_rate,
-            rng=self.rng,
+            rng=self._channel_rng(key),
         )
         self._channels[key] = channel
         # A re-created edge (post-failover reconnect) is live again.
@@ -230,10 +245,14 @@ class Network:
         # through the cut on a freshly created channel.
         for heal_time, side_a, side_b in self._active_cuts():
             if _crosses_cut(src_name, dst_name, side_a, side_b):
-                remaining = heal_time - self.sim.now
+                remaining = heal_time - self.node.now
                 if remaining > 0:
                     channel.fail(remaining)
         return channel
+
+    def _channel_rng(self, key: Tuple[Any, Any]) -> Optional[random.Random]:
+        """The loss RNG a new channel ``key`` draws from: the shared one."""
+        return self.rng
 
     def channel(self, src_name: Any, dst_name: Any) -> Channel:
         """Fetch an existing channel; raises ``KeyError`` if absent."""
@@ -249,7 +268,7 @@ class Network:
     def _active_cuts(
         self,
     ) -> List[Tuple[float, FrozenSet[Any], Optional[FrozenSet[Any]]]]:
-        self._cuts = [cut for cut in self._cuts if cut[0] > self.sim.now]
+        self._cuts = [cut for cut in self._cuts if cut[0] > self.node.now]
         return self._cuts
 
     def partition(
@@ -269,7 +288,7 @@ class Network:
             raise ValueError(f"partition duration must be positive, got {duration}")
         side = frozenset(side)
         other = frozenset(side_b) if side_b is not None else None
-        self._cuts.append((self.sim.now + duration, side, other))
+        self._cuts.append((self.node.now + duration, side, other))
         failed = 0
         for (src_name, dst_name), channel in self._channels.items():
             if _crosses_cut(src_name, dst_name, side, other):
@@ -293,9 +312,13 @@ class Network:
             channel = self._channels.pop(key)
             for stat in self._CARRIED_STATS:
                 self._retired_totals[stat] += getattr(channel, stat)
+            self._keep_retired(key, channel)
         self.channels_retired += len(retired)
         self._retired_keys.update(retired)
         return len(retired)
+
+    def _keep_retired(self, key: Tuple[Any, Any], channel: Channel) -> None:
+        """Hook for a retired channel: the heap already holds its packets."""
 
     @property
     def retired_edges(self) -> Set[Tuple[Any, Any]]:
@@ -335,10 +358,6 @@ class Network:
             sum(c.outage_drops for c in self._channels.values())
             + self._retired_totals["outage_drops"]
         )
-
-    def total_in_flight(self) -> int:
-        """Packets currently propagating across all channels."""
-        return sum(c.in_flight for c in self._channels.values())
 
 
 def _crosses_cut(

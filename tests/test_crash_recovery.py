@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.pubsub.membership import GroupMembership
-from repro.sim.events import SimulationError
+from repro.runtime.errors import SimulationError
 
 
 def triangle_membership():

@@ -14,7 +14,7 @@ import pytest
 from repro.check import verify_run
 from repro.faults import HeartbeatDetector, choose_standby, fail_over, wire_failover
 from repro.pubsub.membership import GroupMembership
-from repro.sim.events import SimulationError
+from repro.runtime.errors import SimulationError
 
 
 def triangle_membership():

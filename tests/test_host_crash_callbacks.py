@@ -6,7 +6,7 @@ from repro import OrderedPubSub
 from repro.metrics.stats import mean_confidence_interval
 from repro.metrics.stretch import delivery_latencies
 from repro.pubsub.membership import GroupMembership
-from repro.sim.events import SimulationError
+from repro.runtime.errors import SimulationError
 
 
 def pair_membership():

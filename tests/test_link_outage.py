@@ -8,7 +8,7 @@ import pytest
 from repro.pubsub.membership import GroupMembership
 from repro.sim.events import Simulator
 from repro.sim.network import Channel
-from repro.sim.processes import Process
+from repro.runtime.node import Process
 
 
 class Sink(Process):

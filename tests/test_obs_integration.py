@@ -12,7 +12,7 @@ from repro.experiments.runner import run_selected
 from repro.obs import exporters
 from repro.obs.registry import MetricsRegistry
 from repro.sim.events import Simulator
-from repro.sim.trace import Trace
+from repro.runtime.trace import Trace
 from repro.workloads.zipf import zipf_membership
 
 

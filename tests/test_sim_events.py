@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro.sim.events import SimulationError, Simulator
+from repro.runtime.errors import SimulationError
+from repro.sim.events import Simulator
 
 
 def test_initial_state():
