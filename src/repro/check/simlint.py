@@ -45,17 +45,12 @@ from repro.check.findings import SEVERITY_ERROR, Finding
 TOOL = "simlint"
 
 #: dotted module prefixes in which the "sim"-scoped rules apply.  The
-#: bench/profiler modules opt in even though they live under repro.obs:
-#: they run inside the measured hot path, so a stray wall-clock read or
-#: global-RNG draw there is exactly as determinism-hostile as one in the
-#: kernel.  Their single sanctioned clock read is the profiler's
-#: ``read_wall_clock`` shim (suppressed inline with a justification).
+#: one sanctioned clock read is the ``read_wall_clock`` shim in
+#: ``repro.runtime.wallclock`` (suppressed inline with a justification).
 SIM_SCOPED_PREFIXES = (
     "repro.sim",
     "repro.core",
     "repro.runtime",
-    "repro.obs.profiler",
-    "repro.obs.bench",
     # The live telemetry plane consumes the trace stream in-path; its
     # alert feeds are byte-compared across fixed-seed runs, so it must
     # be a pure function of the record stream (virtual time only).

@@ -32,15 +32,6 @@ Subcommands::
     repro explain --message 12 --dot waits.dot
                                      # one message's journey + the
                                      # who-waited-on-whom graph
-    repro bench --suite quick --out BENCH_quick.json
-                                     # fixed-seed performance suite with
-                                     # phase breakdowns (see docs)
-    repro bench --compare BENCH_old.json BENCH_new.json --threshold 0.25
-                                     # diff two reports; nonzero exit on
-                                     # a wall-time regression
-    repro bench --history benchmarks/results/BENCH_history.jsonl
-                                     # render the append-only baseline
-                                     # history table (one line per commit)
     repro chaos --live-monitor       # attach the streaming invariant
                                      # monitors; the report gains a
                                      # live_monitor block whose findings
@@ -604,9 +595,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import exporters
     from repro.obs import spans as spans_mod
-    from repro.obs.hooks import profiler_to_registry
     from repro.obs.live import PHASES, PhaseLatencyTracker
-    from repro.obs.profiler import PhaseProfiler
     from repro.obs.registry import MetricsRegistry
     from repro.obs.resources import GcPauseSampler, register_process_collectors
 
@@ -615,12 +604,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     snapshot = zipf_membership(args.hosts, args.groups, rng=rng)
     membership = env.membership_from(snapshot)
     registry = MetricsRegistry()
-    profiler = PhaseProfiler() if args.profile else None
     gc_sampler = GcPauseSampler()
     register_process_collectors(registry, sampler=gc_sampler)
     fabric = env.build_fabric(
-        membership, seed=args.seed, trace=True, registry=registry,
-        profiler=profiler,
+        membership, seed=args.seed, trace=True, registry=registry
     )
     latency = PhaseLatencyTracker(registry=registry)
     fabric.trace.subscribe(latency.observe)
@@ -656,19 +643,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{stats['p50']:>10.3f}{stats['p99']:>10.3f}"
             f"{stats['p999']:>10.3f}{stats['max']:>10.3f}"
         )
-    if profiler is not None:
-        profiler.take_sample(fabric.sim.now)
-        profiler_to_registry(profiler, registry)
-        print()
-        print("hot-path wall-time breakdown (exclusive, profiled):")
-        print(profiler.render())
     if args.out:
         path = exporters.write_trace_jsonl(fabric.trace, args.out)
         print(f"trace JSONL written to {path}")
     if args.chrome:
-        path = exporters.write_chrome_trace(
-            fabric.trace, args.chrome, profiler=profiler
-        )
+        path = exporters.write_chrome_trace(fabric.trace, args.chrome)
         print(f"Chrome trace (Perfetto-loadable) written to {path}")
     if args.metrics:
         path = exporters.write_prometheus(registry, args.metrics)
@@ -676,53 +655,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if stuck:
         print(f"WARNING: undelivered messages at {stuck}")
     return 0 if not stuck else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-
-    if args.list:
-        print(bench.list_suites())
-        return 0
-    if args.history:
-        records = bench.read_history(args.history)
-        if args.format == "json":
-            print(json.dumps(records, indent=2, sort_keys=True))
-        else:
-            print(bench.render_history(records))
-        return 0
-    if args.compare:
-        old = bench.read_report(args.compare[0])
-        new = bench.read_report(args.compare[1])
-        result = bench.compare(
-            old, new, threshold=args.threshold, normalize=not args.absolute
-        )
-        if args.format == "json":
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            print(bench.render_compare(result))
-        return 0 if result["ok"] else 1
-    report = bench.run_suite(
-        args.suite,
-        runs=args.runs,
-        warmup=args.warmup,
-        seed=args.seed,
-        profile=not args.no_profile,
-        sample_every=args.sample_every,
-    )
-    if args.out:
-        path = bench.write_report(report, args.out)
-        print(f"bench report written to {path}")
-    if args.append_history:
-        path = bench.append_history(
-            report, args.append_history, commit=args.commit
-        )
-        print(f"baseline history appended to {path}")
-    if args.format == "json" and not args.out:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(bench.render_report(report))
-    return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -1040,73 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--metrics", default=None, help="write Prometheus-style metrics here"
     )
-    trace.add_argument(
-        "--profile", action="store_true",
-        help="attach the hot-path phase profiler (dispatch/sequencing/"
-        "delivery/trace wall-time breakdown; exported to --chrome/--metrics)",
-    )
     trace.set_defaults(func=_cmd_trace)
-
-    bench = sub.add_parser(
-        "bench",
-        help="fixed-seed performance suites emitting comparable BENCH_*.json",
-    )
-    bench.add_argument(
-        "--suite", default="quick",
-        help="suite to run: smoke, quick, or full (default: quick)",
-    )
-    bench.add_argument(
-        "--runs", type=int, default=3,
-        help="timed repetitions per workload (default: 3)",
-    )
-    bench.add_argument(
-        "--warmup", type=int, default=1,
-        help="untimed warmup repetitions per workload (default: 1)",
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--no-profile", action="store_true",
-        help="skip the phase profiler (no breakdown sections)",
-    )
-    bench.add_argument(
-        "--sample-every", type=int, default=4096,
-        help="profiler counter-sample period in dispatched events",
-    )
-    bench.add_argument("--out", default=None, help="write the JSON report here")
-    bench.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="diff two reports instead of running; nonzero exit on regression",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="fractional slowdown treated as a regression (default: 0.25)",
-    )
-    bench.add_argument(
-        "--absolute", action="store_true",
-        help="compare raw wall-time ratios (skip median normalization; "
-        "use for same-machine A/B runs)",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list suites and workloads"
-    )
-    bench.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="render the append-only baseline history table and exit",
-    )
-    bench.add_argument(
-        "--append-history", default=None, metavar="FILE",
-        help="after the run, append a compact baseline record here "
-        "(benchmarks/results/BENCH_history.jsonl)",
-    )
-    bench.add_argument(
-        "--commit", default="",
-        help="commit hash recorded with --append-history",
-    )
-    bench.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     top = sub.add_parser(
         "top",

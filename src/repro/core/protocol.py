@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids obs coupling
-    from repro.obs.profiler import PhaseProfiler
     from repro.obs.registry import MetricsRegistry
 
 from repro.core.atoms import AtomRuntime, build_atom_runtimes
@@ -317,7 +316,7 @@ class HostProcess(Process):
         self.fabric = fabric
         self.delivery = delivery
         # Forensic records: every deliver-or-buffer decision that ends in
-        # a buffer (see _handle), and every buffer release, becomes a trace
+        # a buffer (see handle), and every buffer release, becomes a trace
         # record carrying the exact blocking (atom, expected_seq) gap.
         # The drain callback fires only on out-of-order arrivals and skips
         # all work while tracing is disabled, like ``seq_hop``.
@@ -365,20 +364,6 @@ class HostProcess(Process):
             self.handle(packet)
 
     def handle(self, payload: Any) -> None:
-        profiler = self.fabric.profiler
-        if profiler is not None and profiler.enabled:
-            # "delivery" phase: the deliver-or-buffer decision, hold-back
-            # drain, and stability bookkeeping (nested trace time is
-            # subtracted by the profiler's exclusive accounting).
-            profiler.enter("delivery")
-            try:
-                self._handle(payload)
-            finally:
-                profiler.exit()
-            return
-        self._handle(payload)
-
-    def _handle(self, payload: Any) -> None:
         if not isinstance(payload, DeliverPacket):
             if isinstance(payload, StableNotice):
                 self.stable_ids.add(payload.msg_id)
@@ -637,19 +622,6 @@ class SequencingNodeProcess(Process):
     def process_at(self, atom: int, message: Message) -> None:
         """Run the message through co-located atoms, from the one numbered
         ``atom``, until it leaves."""
-        profiler = self.fabric.profiler
-        if profiler is not None and profiler.enabled:
-            # "sequencing" phase: atom visits plus the forwarding or
-            # distribution send the visit ends in.
-            profiler.enter("sequencing")
-            try:
-                self._process_at(atom, message)
-            finally:
-                profiler.exit()
-            return
-        self._process_at(atom, message)
-
-    def _process_at(self, atom: int, message: Message) -> None:
         runtimes = self._runtimes
         runtime = runtimes.get(atom)
         if runtime is None:
@@ -765,12 +737,6 @@ class OrderingFabric:
         Per-packet retransmission budget before the packet is abandoned
         and a :class:`LinkFailure` surfaced (default
         :data:`MAX_RETRANSMITS`).
-    profiler:
-        Optional :class:`~repro.obs.profiler.PhaseProfiler`; when given
-        (and enabled) the event loop, sequencing nodes, receivers, and
-        the trace attribute their wall time to it.  Profiling reads the
-        clock and bumps counters only — it can never change simulation
-        outcomes.
     runtime:
         Optional :class:`~repro.runtime.interfaces.RuntimeBackend`.  By
         default the fabric builds a
@@ -801,7 +767,6 @@ class OrderingFabric:
         track_stability: bool = False,
         registry: Optional["MetricsRegistry"] = None,
         max_retransmits: Optional[int] = None,
-        profiler: Optional["PhaseProfiler"] = None,
         runtime: Optional[RuntimeBackend] = None,
     ):
         import random as _random
@@ -839,13 +804,6 @@ class OrderingFabric:
         self.network = runtime.transport
         self.trace = trace if isinstance(trace, Trace) else Trace(enabled=trace)
         runtime.attach_trace(self.trace)
-        #: optional hot-path phase profiler (see repro.obs.profiler);
-        #: shared with the simulator and the trace so all three attribute
-        #: wall time into one set of phase accumulators
-        self.profiler = profiler
-        if profiler is not None:
-            self.sim.profiler = profiler
-            self.trace.profiler = profiler
         #: optional application callback invoked on every delivery
         self.on_deliver: Optional[Callable[[int, DeliveryRecord], None]] = None
 
@@ -1475,9 +1433,9 @@ class OrderingFabric:
     def atom_work(self) -> Dict[str, int]:
         """Aggregate per-atom stamping work across every sequencing node.
 
-        Deterministic per seed (pure visit counts), so the bench harness
-        records it in a ``BENCH_*.json`` counts section: total atom
-        visits, stamps issued, and pass-through forwards.
+        Deterministic per seed (pure visit counts), so ``bench/`` reports
+        it as the ``core.atoms`` counts: total atom visits, stamps issued,
+        and pass-through forwards.
         """
         visits = stamps = passes = 0
         for process in self.node_processes.values():

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.core.placement import Placement, co_locate_and_order, place
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.core.protocol import OrderingFabric
 from repro.core.sequencing_graph import SequencingGraph
@@ -42,9 +41,6 @@ class ExperimentEnv:
     #: optional metrics registry shared by every fabric built from this
     #: environment (see repro.obs); None = no instrumentation overhead
     registry: Optional[MetricsRegistry] = None
-    #: optional hot-path phase profiler shared the same way (see
-    #: repro.obs.profiler); None = no profiling overhead
-    profiler: Optional[PhaseProfiler] = None
     topology: Topology = field(init=False)
     routing: RoutingTable = field(init=False)
     hosts: List[Host] = field(init=False)
@@ -101,13 +97,11 @@ class ExperimentEnv:
     ) -> OrderingFabric:
         """An ordering fabric over this environment's substrate.
 
-        The environment's ``registry`` and ``profiler`` (when set) are
-        passed along unless the caller overrides them, so sweeps can
-        aggregate metrics and phase profiles across every fabric they
-        build.
+        The environment's ``registry`` (when set) is passed along unless
+        the caller overrides it, so sweeps can aggregate metrics across
+        every fabric they build.
         """
         kwargs.setdefault("registry", self.registry)
-        kwargs.setdefault("profiler", self.profiler)
         return OrderingFabric(
             membership, self.hosts, self.topology, self.routing, seed=seed, **kwargs
         )

@@ -168,16 +168,10 @@ def run_campaign(
 def execute_campaign(
     config: ChaosConfig,
     plan: Optional[FaultPlan] = None,
-    profiler: Optional[Any] = None,
     live_monitor: bool = False,
     mutate: Optional[str] = None,
 ) -> CampaignRun:
     """Run one seeded chaos campaign; return report *and* live fabric.
-
-    ``profiler`` (a :class:`~repro.obs.profiler.PhaseProfiler`) attaches
-    hot-path phase profiling to the campaign's fabric — used by ``repro
-    bench`` to break a chaos workload's wall time down by phase.  It
-    observes wall time only and cannot change the campaign's outcome.
 
     ``live_monitor`` attaches a :class:`repro.obs.live.LiveMonitor` to the
     fabric's trace before any traffic runs; the report then carries a
@@ -203,7 +197,6 @@ def execute_campaign(
         loss_rate=config.loss_rate,
         retransmit_timeout=config.retransmit_timeout,
         max_retransmits=config.max_retransmits,
-        profiler=profiler,
     )
 
     detector = HeartbeatDetector(

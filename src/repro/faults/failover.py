@@ -93,7 +93,7 @@ def wire_failover(
     """
     chooser = rng if rng is not None else random.Random(0)
 
-    def _handle(node_id: int, silence: float) -> None:
+    def _on_suspect(node_id: int, silence: float) -> None:
         fail_over(
             fabric,
             node_id,
@@ -102,4 +102,4 @@ def wire_failover(
         )
         detector.clear(node_id)
 
-    detector.on_suspect = _handle
+    detector.on_suspect = _on_suspect

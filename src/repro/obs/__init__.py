@@ -1,6 +1,6 @@
 """Observability for the sequencing pipeline.
 
-The package has four parts:
+The package has six parts:
 
 * :mod:`repro.obs.registry` — ``Counter``/``Gauge``/``Histogram`` instruments
   behind a :class:`~repro.obs.registry.MetricsRegistry` that is near-zero-cost
@@ -19,16 +19,11 @@ The package has four parts:
   records.  Surfaced as the ``repro explain`` CLI subcommand.
 * :mod:`repro.obs.hooks` — wiring that attaches a registry to a running
   :class:`~repro.core.protocol.OrderingFabric` and its simulator.
-* :mod:`repro.obs.profiler` — the hot-path phase profiler: exclusive
-  wall-time attribution (dispatch / sequencing / delivery / trace) with
-  deterministic per-kind dispatch counts and measured self-cost.
-* :mod:`repro.obs.bench` — the ``repro bench`` harness: fixed-seed
-  workload suites emitting schema-versioned ``BENCH_*.json`` reports and
-  the regression-gating comparison between two of them.
 * :mod:`repro.obs.resources` — peak-RSS and GC-pause sampling with no-op
   fallbacks, exported through the registry.
 
-See ``docs/OBSERVABILITY.md`` for the full model and overhead notes.
+See ``docs/OBSERVABILITY.md`` for the full model and overhead notes; wall
+time per layer is measured by ``bench/`` (see ``bench/README.md``).
 """
 
 from repro.obs.forensics import (
@@ -47,12 +42,6 @@ from repro.obs.registry import (
     NULL_REGISTRY,
     log_buckets,
 )
-from repro.obs.profiler import (
-    NULL_PROFILER,
-    PROFILE_PHASES,
-    PhaseProfiler,
-    maybe_profiler,
-)
 from repro.obs.resources import GcPauseSampler, peak_rss_bytes
 from repro.obs.spans import MessageSpan, PHASES, build_spans, phase_breakdown_by_group
 
@@ -65,12 +54,8 @@ __all__ = [
     "Journey",
     "JourneyIndex",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_REGISTRY",
-    "PROFILE_PHASES",
-    "PhaseProfiler",
     "log_buckets",
-    "maybe_profiler",
     "MessageSpan",
     "PHASES",
     "build_spans",

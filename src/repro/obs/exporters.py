@@ -147,7 +147,7 @@ def write_prometheus(registry: MetricsRegistry, path: PathLike) -> pathlib.Path:
 #: Process ids used for track grouping in the trace viewer.
 SEQUENCING_PID = 1
 HOSTS_PID = 2
-PROFILER_PID = 3
+#: not 3: the number is part of every exported trace's bytes
 EPOCHS_PID = 4
 
 #: Minimum slice duration (µs) so zero-length hops stay visible.
@@ -162,43 +162,6 @@ def _us(time_ms: float) -> float:
 #: Category string shared by a message's flow events (start/step/finish
 #: events bind into one flow by matching ``cat`` + ``name`` + ``id``).
 FLOW_CAT = "message"
-
-
-def profiler_counter_events(profiler) -> List[Dict[str, object]]:
-    """Chrome counter (``ph: "C"``) events from a profiler's sample series.
-
-    Each :class:`~repro.obs.profiler.PhaseProfiler` sample — cumulative
-    exclusive wall seconds per phase at a virtual time — becomes one
-    counter event on a dedicated "hot-path profile" process, so Perfetto
-    draws the phase-time trajectory as stacked counter tracks alongside
-    the message flows.  Values are exported in milliseconds of wall time
-    (against the virtual-time x axis).
-    """
-    if not getattr(profiler, "samples", None):
-        return []
-    events: List[Dict[str, object]] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": PROFILER_PID,
-            "tid": 0,
-            "args": {"name": "hot-path profile"},
-        }
-    ]
-    for virtual_time, phases in profiler.samples:
-        events.append(
-            {
-                "ph": "C",
-                "name": "phase wall ms",
-                "ts": _us(virtual_time),
-                "pid": PROFILER_PID,
-                "tid": 0,
-                "args": {
-                    phase: seconds * 1000.0 for phase, seconds in phases.items()
-                },
-            }
-        )
-    return events
 
 
 def epoch_events(trace: Trace) -> List[Dict[str, object]]:
@@ -310,7 +273,7 @@ def epoch_events(trace: Trace) -> List[Dict[str, object]]:
     return events
 
 
-def trace_to_chrome(trace: Trace, profiler=None) -> Dict[str, object]:
+def trace_to_chrome(trace: Trace) -> Dict[str, object]:
     """Build a Chrome trace-event document from a fabric trace.
 
     Layout: the "sequencing nodes" process has one thread per node with a
@@ -325,10 +288,7 @@ def trace_to_chrome(trace: Trace, profiler=None) -> Dict[str, object]:
 
     Traces from online reconfigurations additionally get an "epochs"
     process with switch slices and per-group fence instants (see
-    :func:`epoch_events`).  When a
-    :class:`~repro.obs.profiler.PhaseProfiler` with samples is given,
-    its cumulative phase-time series is appended as counter events on
-    another process (see :func:`profiler_counter_events`).
+    :func:`epoch_events`).
     """
     spans = build_spans(trace)
     events: List[Dict[str, object]] = [
@@ -446,14 +406,12 @@ def trace_to_chrome(trace: Trace, profiler=None) -> Dict[str, object]:
                 }
             )
     events.extend(epoch_events(trace))
-    if profiler is not None:
-        events.extend(profiler_counter_events(profiler))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(trace: Trace, path: PathLike, profiler=None) -> pathlib.Path:
+def write_chrome_trace(trace: Trace, path: PathLike) -> pathlib.Path:
     """Write :func:`trace_to_chrome` output as JSON to ``path``."""
     resolved = pathlib.Path(path)
     resolved.parent.mkdir(parents=True, exist_ok=True)
-    resolved.write_text(json.dumps(trace_to_chrome(trace, profiler=profiler)))
+    resolved.write_text(json.dumps(trace_to_chrome(trace)))
     return resolved

@@ -193,7 +193,7 @@ def _collect_simulator(sim: "NodeHandle", registry: MetricsRegistry) -> None:
 
     Works on any runtime node handle — the simulator and the asyncio
     scheduler expose the same statistics surface (``events_executed``,
-    ``pending``, ``heap_high_water``, sampling counters), so the metric
+    ``pending``, ``heap_high_water``), so the metric
     names stay identical across backends; only their source differs
     (virtual-time heap vs. live event-loop timers).
     """
@@ -206,13 +206,6 @@ def _collect_simulator(sim: "NodeHandle", registry: MetricsRegistry) -> None:
     registry.gauge(
         "repro_sim_heap_high_water", "peak event-queue depth"
     ).set_max(getattr(sim, "heap_high_water", 0))
-    registry.counter(
-        "repro_sim_callbacks_sampled", "callbacks timed with perf_counter"
-    ).set_total(getattr(sim, "callbacks_sampled", 0))
-    registry.counter(
-        "repro_sim_callback_wall_seconds",
-        "wall-clock seconds inside sampled callbacks",
-    ).set_total(getattr(sim, "callback_wall_time", 0.0))
 
 
 def instrument_simulator(sim: "NodeHandle", registry: MetricsRegistry) -> None:
@@ -220,45 +213,3 @@ def instrument_simulator(sim: "NodeHandle", registry: MetricsRegistry) -> None:
     if not registry.enabled:
         return
     registry.register_collector(lambda reg: _collect_simulator(sim, reg))
-
-
-def profiler_to_registry(profiler, registry: MetricsRegistry) -> None:
-    """Mirror a :class:`~repro.obs.profiler.PhaseProfiler` into ``registry``.
-
-    Registers a pull collector (nothing touches the hot path) exporting
-    per-phase exclusive wall time and entry counts, per-kind dispatch
-    counts, and the profiler's own measured cost — so ``repro trace run
-    --profile --metrics`` ships the phase breakdown in the same
-    Prometheus text as everything else.
-    """
-    if not registry.enabled:
-        return
-
-    def collect(reg: MetricsRegistry) -> None:
-        for phase, seconds in profiler.phase_exclusive_s.items():
-            reg.counter(
-                "repro_profile_phase_seconds",
-                "exclusive wall seconds attributed to a hot-path phase",
-                phase=phase,
-            ).set_total(seconds)
-            reg.counter(
-                "repro_profile_phase_entries",
-                "times the phase was entered",
-                phase=phase,
-            ).set_total(profiler.phase_counts.get(phase, 0))
-        for kind, count in profiler.dispatch_by_kind.items():
-            reg.counter(
-                "repro_profile_dispatches",
-                "event-loop callbacks executed, by callback qualname",
-                kind=kind,
-            ).set_total(count)
-        reg.counter(
-            "repro_profile_clock_pairs",
-            "enter/exit clock-read pairs the profiler performed",
-        ).set_total(profiler.clock_pairs)
-        reg.gauge(
-            "repro_profile_overhead_seconds",
-            "calibrated estimate of the profiler's own wall-time cost",
-        ).set(profiler.estimated_overhead_s())
-
-    registry.register_collector(collect)

@@ -8,16 +8,16 @@ callbacks are unavailable simply reports zeros.
 
 :func:`register_process_collectors` mirrors both into a
 :class:`~repro.obs.registry.MetricsRegistry` as pull collectors, so
-``repro trace run --metrics`` and the bench harness export the same
-numbers through the same pipeline.
+``repro trace run --metrics`` exports them through the same pipeline as
+every other metric.
 """
 
 import gc
 import sys
 from typing import Optional
 
-from repro.obs.profiler import read_wall_clock
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.wallclock import read_wall_clock
 
 try:  # POSIX only; Windows has no resource module
     import resource as _resource
@@ -46,7 +46,7 @@ class GcPauseSampler:
     """Counts and times garbage-collection pauses via ``gc.callbacks``.
 
     The callback pair brackets each collection with two wall-clock reads
-    (through the profiler's sampling shim), accumulating pause count,
+    (through the sanctioned wall-clock shim), accumulating pause count,
     total pause seconds, and objects collected.  Where ``gc.callbacks``
     does not exist the sampler is inert: :attr:`supported` is false and
     every figure stays zero.

@@ -11,7 +11,7 @@ Design notes
 * **Same observable surface as the simulator.**
   :class:`AsyncioScheduler` exposes ``now`` / ``schedule`` /
   ``schedule_at`` / ``pending`` / ``events_executed`` /
-  ``heap_high_water`` / ``profiler`` exactly like
+  ``heap_high_water`` exactly like
   :class:`~repro.sim.events.Simulator`.  The network is the one
   :class:`~repro.sim.network.Network`, built over this scheduler: a
   surviving packet goes on the scheduler's heap, so the protocol core,
@@ -53,7 +53,6 @@ from repro.runtime.wallclock import LiveClock, read_wall_clock
 from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.obs.profiler import PhaseProfiler
     from repro.runtime.trace import Trace
 
 __all__ = ["AsyncioScheduler", "AsyncioTransport"]
@@ -111,8 +110,6 @@ class AsyncioScheduler:
         self._live = 0
         #: peak concurrent live timers (the live analogue of heap depth)
         self.heap_high_water = 0
-        #: optional phase profiler (see :mod:`repro.obs.profiler`)
-        self.profiler: Optional["PhaseProfiler"] = None
         #: the one loop wake-up, armed for the heap's head, and the
         #: virtual deadline it was armed for: -inf while polling or while
         #: a batch fires (no push re-arms then; the batch's end does)
@@ -196,13 +193,7 @@ class AsyncioScheduler:
                 self._live -= 1
                 self.events_executed += 1
                 try:
-                    profiler = self.profiler
-                    if profiler is not None and profiler.enabled:
-                        profiler.dispatch_begin(handle.callback)
-                        handle.callback(*handle.args)
-                        profiler.dispatch_end(self.now)
-                    else:
-                        handle.callback(*handle.args)
+                    handle.callback(*handle.args)
                 except Exception as exc:  # noqa: BLE001 - surfaced at drain
                     self._errors.append(exc)
         finally:

@@ -48,7 +48,6 @@ controller is attached.
 import random
 from collections import deque
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Deque,
@@ -60,9 +59,6 @@ from typing import (
 
 from repro.runtime.errors import SimulationError
 from repro.sim.network import Channel, Network
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.obs.profiler import PhaseProfiler
 
 __all__ = [
     "ExploreChannel",
@@ -120,7 +116,6 @@ class ExploreScheduler:
         self._now = 0.0
         self._seq = 0
         self.events_executed = 0
-        self.profiler: Optional["PhaseProfiler"] = None
         self._timers: Dict[int, _ExploreTimer] = {}
         #: timers scheduled while True are "plan" timers (fault actions)
         self._recording_plan = True

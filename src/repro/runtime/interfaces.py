@@ -37,7 +37,6 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids obs coupling
-    from repro.obs.profiler import PhaseProfiler
     from repro.runtime.trace import Trace
 
 __all__ = [
@@ -69,8 +68,6 @@ class NodeHandle(Protocol):
 
     #: callbacks executed since the runtime started
     events_executed: int
-    #: optional phase profiler attached by the fabric (see repro.obs)
-    profiler: Optional["PhaseProfiler"]
 
     @property
     def now(self) -> float:

@@ -8,9 +8,9 @@ are exposed *directly* (the simulator is the node handle every process
 receives, the network is the transport), so fabric construction over
 this backend is byte-identical to the pre-split code on fixed seeds:
 same objects, same RNG derivation (``Random(seed + 1)`` for channel
-loss), same heap, same tie-breaking.  The bench baseline
-(``benchmarks/results/BENCH_quick.json``) and the explain-determinism
-smoke gate this equivalence in CI.
+loss), same heap, same tie-breaking.  The exact-repeat records in
+``bench/expected.json`` and the explain-determinism smoke gate this
+equivalence in CI.
 """
 
 import random

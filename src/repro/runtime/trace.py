@@ -127,11 +127,6 @@ class Trace:
             self._by_kind = None
         self._counts: Dict[str, int] = {}
         self._subscribers: List[Callable[[TraceRecord], None]] = []
-        #: optional phase profiler (see :mod:`repro.obs.profiler`); when
-        #: attached and enabled, the record body and every subscriber are
-        #: timed under the "trace" phase so observability's own cost shows
-        #: up in the bench breakdown instead of inflating other phases.
-        self.profiler: Optional[Any] = None
 
     def record(self, time: float, kind: str, **data: Any) -> None:
         """Append one record; when disabled, only bump the kind counter.
@@ -143,11 +138,6 @@ class Trace:
         counts[kind] = counts.get(kind, 0) + 1
         if not self.enabled:
             return
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            profiler.enter("trace")
-        else:
-            profiler = None
         by_kind = self._by_kind
         if by_kind is not None:
             positions = by_kind.get(kind)
@@ -161,8 +151,6 @@ class Trace:
             rec = _new_record(TraceRecord, (time, kind, data))
             for subscriber in self._subscribers:
                 subscriber(rec)
-        if profiler is not None:
-            profiler.exit()
 
     def count(self, kind: str) -> int:
         """Number of records of ``kind`` (counted even when disabled)."""

@@ -5,8 +5,8 @@ SL101 rule enforces that across every sim-scoped package, including this
 one (``repro.runtime`` is in the enforcement scope).  The two call sites
 below carry the only sanctioned suppressions:
 
-* :func:`read_wall_clock` — the sampling shim used by the profiler, the
-  bench harness, and resource accounting.  Wall time is the *measured
+* :func:`read_wall_clock` — the sampling shim used by resource accounting
+  and the live runtime's run-time limit.  Wall time is the *measured
   quantity* there, never an input to protocol decisions.
 * :class:`LiveClock` — the live runtime's time source.  A real deployment
   has no virtual clock; the asyncio backend derives its millisecond

@@ -8,20 +8,14 @@ simulations reproducible across runs and platforms.  The heap holds
 is decided on the first two fields, in C, and never reaches the handle.
 
 Observability: the loop maintains a live count of pending events (O(1),
-updated on push/pop/cancel), a queue-depth high-water mark, and — when
-``profile_every`` is set — wall-clock timing of every Nth callback via
-``time.perf_counter``.  All are cheap enough to leave on; the profiler
-costs two clock reads per *sampled* event only.
+updated on push/pop/cancel) and a queue-depth high-water mark.  Wall-time
+attribution lives outside the loop, in ``bench/run.py --trace 1``.
 """
 
 import heapq
-from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.runtime.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids obs coupling
-    from repro.obs.profiler import PhaseProfiler
 
 __all__ = ["EventHandle", "Simulator"]
 
@@ -75,18 +69,10 @@ class Simulator:
 
     The clock unit is milliseconds by convention throughout this project
     (link delays produced by :mod:`repro.topology` are in milliseconds),
-    but the kernel itself is unit-agnostic.
-
-    Parameters
-    ----------
-    profile_every:
-        When positive, every Nth executed event's callback is timed with
-        ``perf_counter`` and accumulated into ``callback_wall_time`` /
-        ``callbacks_sampled`` — a cheap sampling profiler for finding
-        real-time hot spots without timing every event.
+    but the kernel itself is unit-agnostic.  ``now`` never moves backward.
     """
 
-    def __init__(self, profile_every: int = 0) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq: int = 0
@@ -96,15 +82,6 @@ class Simulator:
         self._live: int = 0
         #: peak heap depth, including not-yet-collected cancelled entries
         self.heap_high_water: int = 0
-        self.profile_every = profile_every
-        #: wall-clock seconds spent inside sampled callbacks
-        self.callback_wall_time: float = 0.0
-        self.callbacks_sampled: int = 0
-        #: optional phase profiler (see :mod:`repro.obs.profiler`); when
-        #: attached and enabled, every callback is timed and counted by
-        #: kind.  All clock reads happen inside the profiler's sampling
-        #: shim — this loop only calls its hooks.
-        self.profiler: Optional["PhaseProfiler"] = None
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now.
@@ -171,24 +148,7 @@ class Simulator:
             )
         self.now = event.time
         self.events_executed += 1
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            # Phase attribution: the whole callback is "dispatch"; deeper
-            # phases (sequencing/delivery/trace) subtract themselves.
-            profiler.dispatch_begin(event.callback)
-            event.callback(*event.args)
-            profiler.dispatch_end(self.now)
-        elif self.profile_every and self.events_executed % self.profile_every == 0:
-            # Sampling profiler: wall time spent inside the callback is
-            # recorded for diagnostics and never feeds virtual time.
-            # simlint: disable=SL101 -- wall-time accounting only
-            start = perf_counter()
-            event.callback(*event.args)
-            # simlint: disable=SL101 -- see above; wall-time accounting only.
-            self.callback_wall_time += perf_counter() - start
-            self.callbacks_sampled += 1
-        else:
-            event.callback(*event.args)
+        event.callback(*event.args)
         return True
 
     def run(
@@ -199,7 +159,8 @@ class Simulator:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
         Returns the number of events executed by this call.  Events scheduled
-        exactly at ``until`` still execute; later ones remain queued.
+        exactly at ``until`` still execute; later ones remain queued, and the
+        clock then moves forward to ``until`` (never backward).
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
@@ -213,7 +174,8 @@ class Simulator:
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
-                    self.now = until
+                    if until > self.now:
+                        self.now = until
                     break
                 self.step()
                 executed += 1

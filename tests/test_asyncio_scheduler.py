@@ -244,27 +244,6 @@ def test_close_cancels_the_armed_timer_and_nothing_arms_after(rig):
     assert loop.live() == []
 
 
-def test_profiler_hook_wraps_every_event(rig):
-    scheduler, loop, clock = rig
-
-    class Profiler:
-        enabled = True
-        begun = ended = 0
-
-        def dispatch_begin(self, callback):
-            self.begun += 1
-
-        def dispatch_end(self, now):
-            self.ended += 1
-
-    scheduler.profiler = Profiler()
-    for _ in range(7):
-        scheduler.schedule(1.0, lambda: None)
-    clock.now = 1.0
-    loop.fire()
-    assert (scheduler.profiler.begun, scheduler.profiler.ended) == (7, 7)
-
-
 # -- on a real event loop ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """End-to-end observability: trace upgrades, event-loop stats, live gauges,
-the `repro trace` CLI, and the figure runner's --metrics-out."""
+outcome invariance under observation, the `repro trace` CLI, and the figure
+runner's --metrics-out."""
 
 import json
 import random
@@ -9,7 +10,10 @@ import pytest
 from repro import cli
 from repro.experiments.common import ExperimentEnv
 from repro.experiments.runner import run_selected
+from repro.faults.campaign import ChaosConfig, execute_campaign
 from repro.obs import exporters
+from repro.obs.forensics import JourneyIndex
+from repro.obs.live import LiveMonitor, PhaseLatencyTracker
 from repro.obs.registry import MetricsRegistry
 from repro.sim.events import Simulator
 from repro.runtime.trace import Trace
@@ -98,29 +102,18 @@ class TestSimulatorCounters:
         sim.run()
         assert sim.heap_high_water == 5
 
-    def test_callback_profiling_samples_every_nth(self):
-        sim = Simulator(profile_every=2)
-        for i in range(10):
-            sim.schedule(float(i), lambda: None)
-        sim.run()
-        assert sim.callbacks_sampled == 5
-        assert sim.callback_wall_time >= 0.0
 
-    def test_profiling_off_by_default(self):
-        sim = Simulator()
-        sim.schedule(0.0, lambda: None)
-        sim.run()
-        assert sim.callbacks_sampled == 0
-
-
-def _burst_fabric(registry):
-    """A bursty workload that actually exercises the hold-back buffers."""
+def _burst_fabric(registry, trace=True, observe=None):
+    """A bursty workload that actually exercises the hold-back buffers;
+    ``observe(fabric)`` runs before the first publish."""
     env = ExperimentEnv(n_hosts=16, seed=0)
     rng = random.Random(0)
     snapshot = zipf_membership(16, 4, rng=rng)
     fabric = env.build_fabric(
-        env.membership_from(snapshot), trace=True, registry=registry
+        env.membership_from(snapshot), trace=trace, registry=registry
     )
+    if observe is not None:
+        observe(fabric)
     groups = sorted(snapshot)
     for _ in range(40):
         group = rng.choice(groups)
@@ -182,6 +175,43 @@ class TestLiveGauges:
         assert len(registry) == 0
         for process in fabric.host_processes.values():
             assert process.delivery.on_occupancy is None
+
+
+def test_observation_does_not_change_simulation_outcomes():
+    """Tracing, metrics, the live monitor and the latency tracker only
+    read: a bare run and a fully observed one execute the same events and
+    deliver the same messages at the same times."""
+    registry = MetricsRegistry()
+    latency = PhaseLatencyTracker(registry=registry)
+    monitor = LiveMonitor(node="observed")
+
+    def observe(fabric):
+        monitor.attach(fabric)
+        fabric.trace.subscribe(latency.observe)
+
+    bare = _burst_fabric(None, trace=False)
+    observed = _burst_fabric(registry, observe=observe)
+    assert monitor.violations == 0
+    assert latency.summary()["delivery"]["count"] == observed.trace.count("deliver")
+    assert bare.sim.events_executed == observed.sim.events_executed
+    for host in bare.host_processes:
+        assert [(r.msg_id, r.time) for r in bare.delivered(host)] == [
+            (r.msg_id, r.time) for r in observed.delivered(host)
+        ]
+
+
+def test_observation_does_not_change_forensics_output():
+    """A chaos campaign reports the same outcome and the same stalls
+    (the `repro explain` view) with the live monitor on as with it off."""
+    config = ChaosConfig(hosts=12, groups=4, events=20, seed=3, horizon=150.0)
+    plain = execute_campaign(config)
+    watched = execute_campaign(config, live_monitor=True)
+    report = dict(watched.report)
+    assert report.pop("live_monitor")["agrees_with_audit"]
+    assert report == plain.report
+    assert JourneyIndex(plain.fabric.trace).stall_report(
+        threshold=0.0
+    ) == JourneyIndex(watched.fabric.trace).stall_report(threshold=0.0)
 
 
 class TestCli:

@@ -1,14 +1,22 @@
-"""Metric instruments: counters, gauges, histogram bucket edges, null mode."""
+"""Metric instruments: counters, gauges, histogram bucket edges, null mode,
+and the process-level RSS / GC collectors."""
 
+import gc
 import math
 
 import pytest
 
+from repro.obs import exporters
 from repro.obs.registry import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     MetricsRegistry,
     log_buckets,
+)
+from repro.obs.resources import (
+    GcPauseSampler,
+    peak_rss_bytes,
+    register_process_collectors,
 )
 
 
@@ -152,3 +160,21 @@ class TestDisabledRegistry:
     def test_null_registry_is_disabled(self):
         assert not NULL_REGISTRY.enabled
         assert NULL_REGISTRY.counter("anything") is NULL_INSTRUMENT
+
+
+def test_process_collectors_export_rss_and_gc():
+    rss = peak_rss_bytes()
+    assert rss is None or rss > 0
+    registry = MetricsRegistry()
+    sampler = GcPauseSampler()
+    register_process_collectors(registry, sampler=sampler)
+    with sampler:
+        gc.collect()
+    if sampler.supported:
+        assert sampler.pauses >= 1
+        assert sampler.pause_seconds >= 0
+    text = exporters.registry_to_prometheus(registry)
+    assert "repro_gc_collections" in text
+    assert "repro_gc_pauses" in text
+    if rss is not None:
+        assert "repro_process_peak_rss_bytes" in text

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.runtime.errors import SimulationError
+from repro.runtime.explore_backend import ExploreTransport
 from repro.sim.events import Simulator
 
 
@@ -113,6 +114,27 @@ def test_run_until_stops_clock_at_until():
     assert sim.now == 5.0
     sim.run()
     assert fired == ["a", "b"]
+
+
+@pytest.mark.parametrize("backend", ["sim", "explore"])
+def test_run_until_in_the_past_never_rewinds_the_clock(backend):
+    """``run(until=t)`` with ``t < now`` leaves ``now`` where it is, so an
+    event scheduled next cannot fire before one that already did."""
+    if backend == "sim":
+        sim = Simulator()
+        run = sim.run
+    else:
+        transport = ExploreTransport()
+        sim, run = transport.scheduler, transport.run
+    fired = []
+    sim.schedule(5.0, lambda: fired.append(("f", sim.now)))
+    run()
+    sim.schedule(10.0, lambda: fired.append(("g", sim.now)))
+    assert run(until=1.0) == 0
+    assert sim.now == 5.0
+    sim.schedule(0.0, lambda: fired.append(("h", sim.now)))
+    run()
+    assert fired == [("f", 5.0), ("h", 5.0), ("g", 15.0)]
 
 
 def test_run_until_includes_events_at_boundary():
@@ -284,7 +306,7 @@ class _HandleOrderedSimulator:
             if not self._heap:
                 break
             if until is not None and self._heap[0].time > until:
-                self.now = until
+                self.now = max(self.now, until)
                 break
             self.step()
             executed += 1

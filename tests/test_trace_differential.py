@@ -17,7 +17,7 @@ from repro.runtime.trace import Trace, TraceRecord
 
 
 class ListTrace:
-    """The record-per-entry trace, kept as the oracle (profiler hook left out)."""
+    """The record-per-entry trace, kept as the oracle for the columnar one."""
 
     def __init__(self, enabled: bool = True, maxlen: Optional[int] = None):
         if maxlen is not None and maxlen <= 0:
