@@ -867,8 +867,9 @@ class OrderingFabric:
         self.fence_delivered: Dict[int, Dict[int, float]] = {}
         #: filled by reconfigure() with the outgoing switch's statistics
         self.epoch_switch_stats: Optional[Dict[str, Any]] = None
-        #: distribution-phase accounting (see _account_distribution)
-        self._delivery_trees: Dict[Tuple[int, int], Any] = {}
+        #: distribution-phase accounting (see _account_distribution):
+        #: (machine, group) -> (link_count, unicast_link_count) of its tree
+        self._tree_counts: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self.distribution_tree_links = 0
         self.distribution_unicast_links = 0
         self.distribution_tree_bytes = 0
@@ -1349,21 +1350,24 @@ class OrderingFabric:
         equal shortest-path unicast either way (the tree is the union of
         shortest paths), so the simulation sends unicast copies; this
         accounting tracks what a shared delivery tree would put on each
-        link, for the multicast-efficiency metrics.
+        link, for the multicast-efficiency metrics.  Only the tree's two
+        link counts are kept, not its edge set.
         """
         key = (src.machine, group)
-        tree = self._delivery_trees.get(key)
-        if tree is None:
+        counts = self._tree_counts.get(key)
+        if counts is None:
             from repro.pubsub.multicast import DeliveryTree
 
             members = [
                 self._host_by_id[m].router for m in self.graph.members(group)
             ]
             tree = DeliveryTree(self.routing, src.machine, members)
-            self._delivery_trees[key] = tree
-        self.distribution_tree_links += tree.link_count()
-        self.distribution_unicast_links += tree.unicast_link_count()
-        self.distribution_tree_bytes += tree.link_count() * size_bytes
+            counts = (tree.link_count(), tree.unicast_link_count())
+            self._tree_counts[key] = counts
+        links, unicast_links = counts
+        self.distribution_tree_links += links
+        self.distribution_unicast_links += unicast_links
+        self.distribution_tree_bytes += links * size_bytes
 
     # -- running and inspecting ---------------------------------------------
 

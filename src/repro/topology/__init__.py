@@ -10,7 +10,8 @@ properties the evaluation depends on — hierarchical locality and realistic
 delay spread — are preserved (see DESIGN.md, substitution table).
 
 :mod:`repro.topology.routing` provides shortest-path delays and paths over
-the generated graph (sparse Dijkstra with per-source caching), and
+the generated graph (sparse Dijkstra, one shortest-path tree kept per
+solved source), and
 :mod:`repro.topology.clusters` implements the paper's Section 4.1 host
 attachment: hosts are grouped into similar-size clusters placed uniformly at
 random, with hosts of a cluster close to each other.

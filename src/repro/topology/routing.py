@@ -3,11 +3,22 @@
 Messages in the evaluation travel on shortest (minimum-delay) paths, and any
 router can forward (paper Section 4.1).  All-pairs shortest paths over a
 10,000-router graph would need ~800 MB, so this module computes single-source
-Dijkstra on demand with scipy's sparse-graph routines and caches per-source
-rows; an experiment touches at most a few hundred distinct sources (hosts and
-sequencing machines).
+Dijkstra on demand with scipy's sparse-graph routines and keeps each solved
+source; an experiment touches at most a few hundred distinct sources (hosts
+and sequencing machines).
+
+A routing row is one shortest-path tree: scipy's predecessor row alone, in
+the narrowest signed integer type that holds every router id and scipy's
+``-9999`` "no predecessor" sentinel (int16 at paper scale, 20 KB).  The
+distance row is not kept.  scipy settles router ``v`` with
+``dist[v] = dist[u] + w(u, v)`` and ``pred[v] = u``, so adding the edge
+weights along the tree in path order from the source, ``0.0 + w1 + w2 +
+...``, gives back the distance row bit for bit (DESIGN.md §4.2k).  A delay
+once summed is kept under the tree that answered it, for the few routers
+ever asked about.
 """
 
+import math
 from typing import Dict, List
 
 import numpy as np
@@ -18,7 +29,7 @@ from repro.topology.gtitm import Topology
 
 
 class RoutingTable:
-    """On-demand single-source shortest paths with caching.
+    """On-demand single-source shortest paths, one kept tree per source.
 
     Parameters
     ----------
@@ -37,8 +48,17 @@ class RoutingTable:
             cols.extend((v, u))
             vals.extend((d, d))
         self._graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        self._dist_cache: Dict[int, np.ndarray] = {}
-        self._pred_cache: Dict[int, np.ndarray] = {}
+        # Scalar reads through a memoryview return Python ints and floats,
+        # several times faster than indexing the numpy arrays.
+        self._indptr = memoryview(self._graph.indptr)
+        self._indices = memoryview(self._graph.indices)
+        self._weights = memoryview(self._graph.data)
+        self._pred_dtype = np.int16 if n - 1 <= np.iinfo(np.int16).max else np.int32
+        #: source router -> its shortest-path tree (predecessor per router)
+        self._trees: Dict[int, memoryview] = {}
+        #: source router -> {router: delay summed along the source's tree},
+        #: for the routers asked about (hosts and machines, not all 10,000)
+        self._summed: Dict[int, Dict[int, float]] = {}
 
     @property
     def n_nodes(self) -> int:
@@ -56,55 +76,84 @@ class RoutingTable:
         row = self._graph.indices[indptr[router] : indptr[router + 1]]
         return sorted(row.tolist())
 
-    def _run_dijkstra(self, src: int) -> None:
+    def _solve(self, src: int) -> np.ndarray:
+        """Run Dijkstra from ``src``, keep its tree, return its distance row."""
         dist, pred = dijkstra(
             self._graph, directed=False, indices=src, return_predecessors=True
         )
-        self._dist_cache[src] = dist
-        self._pred_cache[src] = pred
+        if src not in self._trees:
+            self._trees[src] = memoryview(pred.astype(self._pred_dtype))
+            self._summed[src] = {}
+        return dist
+
+    def _tree_delay(self, root: int, target: int) -> float:
+        """Delay from ``root`` to ``target``, summed along ``root``'s tree."""
+        pred = self._trees[root]
+        indptr, indices, weights = self._indptr, self._indices, self._weights
+        hops: List[float] = []
+        node = target
+        parent = pred[node]
+        while parent >= 0:
+            edge = indptr[node]
+            while indices[edge] != parent:
+                edge += 1
+            hops.append(weights[edge])
+            node = parent
+            parent = pred[node]
+        if node != root:
+            return math.inf  # the walk stopped at the sentinel of an unreachable router
+        # From the source end, the order scipy added them in: its row, bit for bit.
+        total = 0.0
+        for weight in reversed(hops):
+            total += weight
+        return total
 
     def delays_from(self, src: int) -> np.ndarray:
-        """All-destination delay vector from router ``src`` (cached)."""
-        if src not in self._dist_cache:
-            self._run_dijkstra(src)
-        return self._dist_cache[src]
+        """All-destination delay vector from router ``src``.
+
+        Computed afresh on every call: distance rows are not kept.  The
+        tree of ``src`` is kept, as for any other solved source.
+        """
+        return self._solve(src)
 
     def delay(self, src: int, dst: int) -> float:
         """Shortest-path delay between two routers (milliseconds)."""
         if src == dst:
             return 0.0
-        # Prefer an already-cached source row in either direction.
-        if src in self._dist_cache:
-            return float(self._dist_cache[src][dst])
-        if dst in self._dist_cache:
-            return float(self._dist_cache[dst][src])
-        return float(self.delays_from(src)[dst])
+        # Prefer an already-solved tree in either direction.  The two
+        # directions can differ in the last bit, so this order decides the
+        # answer and must not change; for the same reason a summed delay is
+        # kept under the tree that answered, never under the unordered pair.
+        if src in self._trees:
+            root, target = src, dst
+        elif dst in self._trees:
+            root, target = dst, src
+        else:
+            self._solve(src)
+            root, target = src, dst
+        summed = self._summed[root]
+        delay = summed.get(target)
+        if delay is None:
+            delay = summed[target] = self._tree_delay(root, target)
+        return delay
 
     def path(self, src: int, dst: int) -> List[int]:
         """Router sequence of the shortest path, inclusive of endpoints."""
         if src == dst:
             return [src]
-        if src not in self._pred_cache:
-            self._run_dijkstra(src)
-        pred = self._pred_cache[src]
+        if src not in self._trees:
+            self._solve(src)
+        pred = self._trees[src]
         if pred[dst] < 0:
             raise ValueError(f"no path from {src} to {dst}")
         path = [dst]
         node = dst
         while node != src:
-            node = int(pred[node])
+            node = pred[node]
             path.append(node)
         path.reverse()
         return path
 
-    def nearest(self, src: int, candidates: List[int]) -> int:
-        """The candidate router closest to ``src`` by shortest-path delay."""
-        if not candidates:
-            raise ValueError("candidates must be non-empty")
-        dist = self.delays_from(src)
-        best = min(candidates, key=lambda c: dist[c])
-        return best
-
     def cache_size(self) -> int:
-        """Number of cached single-source rows (for memory accounting)."""
-        return len(self._dist_cache)
+        """Number of solved sources (one Dijkstra run each)."""
+        return len(self._trees)

@@ -1,6 +1,7 @@
 """Tests for distribution-phase delivery-tree accounting."""
 
 from repro.pubsub.membership import GroupMembership
+from repro.pubsub.multicast import DeliveryTree
 
 
 def membership_two_groups():
@@ -39,17 +40,19 @@ def test_tree_accounting_scales_with_messages(env32):
 
 
 def test_tree_cache_by_egress_and_group(env32):
+    """Each (machine, group) entry holds the link counts of that group's
+    delivery tree rooted at that machine."""
     fabric = env32.build_fabric(membership_two_groups())
     fabric.publish(0, 0)
     fabric.publish(4, 1)
     fabric.run()
-    assert len(fabric._delivery_trees) >= 1
-    for (machine, group), tree in fabric._delivery_trees.items():
-        assert tree.root == machine
-        members = {
+    assert len(fabric._tree_counts) >= 1
+    for (machine, group), counts in fabric._tree_counts.items():
+        members = [
             fabric._host_by_id[m].router for m in fabric.membership.members(group)
-        }
-        assert set(tree.members) == members
+        ]
+        tree = DeliveryTree(fabric.routing, machine, members)
+        assert counts == (tree.link_count(), tree.unicast_link_count())
 
 
 def test_multicast_gain_with_clustered_members(env32):

@@ -136,17 +136,6 @@ def test_routing_path_to_self(routing):
     assert routing.path(9, 9) == [9]
 
 
-def test_routing_nearest(routing):
-    candidates = [10, 20, 30]
-    nearest = routing.nearest(10, candidates)
-    assert nearest == 10
-
-
-def test_routing_nearest_empty_rejected(routing):
-    with pytest.raises(ValueError):
-        routing.nearest(0, [])
-
-
 def test_routing_triangle_inequality(routing):
     # Shortest paths always satisfy the triangle inequality.
     for a, b, c in [(0, 40, 90), (5, 60, 110)]:
