@@ -57,7 +57,17 @@ from repro.runtime.errors import SimulationError
 from repro.runtime.interfaces import Link, NodeHandle, RuntimeBackend
 from repro.runtime.node import Process
 from repro.runtime.sim_backend import SimTransport
-from repro.runtime.trace import Trace
+from repro.runtime.trace import (
+    ATOM_PASS,
+    ATOM_SEQ,
+    BUFFER,
+    DELIVER,
+    DISTRIBUTE,
+    DRAIN,
+    PUBLISH,
+    SEQ_HOP,
+    Trace,
+)
 from repro.topology.clusters import Host
 from repro.topology.gtitm import Topology
 from repro.topology.routing import RoutingTable
@@ -403,17 +413,12 @@ class HostProcess(Process):
             trace = fabric.trace
             if trace.enabled:
                 trace.record(
-                    now,
-                    "deliver",
-                    host=host_id,
-                    msg=msg_id,
-                    group=stamp.group,
-                    sender=header.sender,
-                    publish_time=header.publish_time,
+                    now, DELIVER, host_id, msg_id, stamp.group, header.sender,
+                    header.publish_time,
                 )
             else:
                 # One per delivery: counted (see the Trace contract) without
-                # packing five keyword arguments nobody will read.
+                # packing five values nobody will read.
                 trace.record(now, "deliver")
             if fabric.on_deliver is not None:
                 fabric.on_deliver(
@@ -443,15 +448,9 @@ class HostProcess(Process):
         assert blocking is not None
         self._buffered_at[header.msg_id] = self.sim.now
         self.fabric.trace.record(
-            self.sim.now,
-            "buffer",
-            host=self.host.host_id,
-            msg=header.msg_id,
-            group=header.stamp.group,
-            blocked_kind=blocking.kind,
-            blocked_on=blocking.key,
-            have_seq=blocking.have,
-            expected_seq=blocking.expected,
+            self.sim.now, BUFFER, self.host.host_id, header.msg_id,
+            header.stamp.group, blocking.kind, blocking.key, blocking.have,
+            blocking.expected,
         )
 
     def _record_drain(
@@ -464,15 +463,9 @@ class HostProcess(Process):
         assert isinstance(by_payload, MessageHeader)
         buffered_at = self._buffered_at.pop(payload.msg_id, None)
         self.fabric.trace.record(
-            self.sim.now,
-            "drain",
-            host=self.host.host_id,
-            msg=payload.msg_id,
-            group=stamp.group,
-            unblocked_by=by_payload.msg_id,
-            waited=(
-                self.sim.now - buffered_at if buffered_at is not None else None
-            ),
+            self.sim.now, DRAIN, self.host.host_id, payload.msg_id, stamp.group,
+            by_payload.msg_id,
+            self.sim.now - buffered_at if buffered_at is not None else None,
         )
 
 
@@ -632,13 +625,10 @@ class SequencingNodeProcess(Process):
         trace = self.fabric.trace
         if trace.enabled:
             # Guarded: hop records are high-volume, so the disabled path
-            # must not even pack the kwargs (see the Trace contract).
+            # must not even pack the values (see the Trace contract).
             trace.record(
-                self.sim.now,
-                "seq_hop",
-                msg=message.msg_id,
-                node=self.node_id,
-                atom=runtime.atom_id.label,
+                self.sim.now, SEQ_HOP, message.msg_id, self.node_id,
+                runtime.atom_id.label,
             )
         while True:
             if trace.enabled:
@@ -669,21 +659,13 @@ class SequencingNodeProcess(Process):
         group_seq = message.group_seq if group_seq_before is None else None
         if seq is None and group_seq is None:
             self.fabric.trace.record(
-                self.sim.now,
-                "atom_pass",
-                msg=message.msg_id,
-                node=self.node_id,
-                atom=runtime.atom_id.label,
+                self.sim.now, ATOM_PASS, message.msg_id, self.node_id,
+                runtime.atom_id.label,
             )
         else:
             self.fabric.trace.record(
-                self.sim.now,
-                "atom_seq",
-                msg=message.msg_id,
-                node=self.node_id,
-                atom=runtime.atom_id.label,
-                seq=seq,
-                group_seq=group_seq,
+                self.sim.now, ATOM_SEQ, message.msg_id, self.node_id,
+                runtime.atom_id.label, seq, group_seq,
             )
         return next_atom
 
@@ -1193,7 +1175,7 @@ class OrderingFabric:
         self._next_msg_id = msg_id + 1
         message = Message(msg_id, group, sender, payload, now)
         self.published[msg_id] = message
-        self.trace.record(now, "publish", msg=msg_id, group=group, sender=sender)
+        self.trace.record(now, PUBLISH, msg_id, group, sender)
         ingress, node = self._ingress_of(group)
         self._transmit(
             self.host_processes[sender], node, DataPacket(message, ingress)
@@ -1313,11 +1295,7 @@ class OrderingFabric:
         members = self._members_of(message.group)
         if self.trace.enabled:
             self.trace.record(
-                self.sim.now,
-                "distribute",
-                msg=message.msg_id,
-                node=src.node_id,
-                members=len(members),
+                self.sim.now, DISTRIBUTE, message.msg_id, src.node_id, len(members)
             )
         if self.track_stability and not isinstance(message.payload, EpochFence):
             src.expect_stability_acks(message.msg_id, members)

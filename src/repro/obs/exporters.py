@@ -175,13 +175,8 @@ def epoch_events(trace: Trace) -> List[Dict[str, object]]:
     record, so the fence publish and its per-host consumptions line up
     under the switch slice that injected them.
     """
-    fences: List[TraceRecord] = []
-    switches: List[TraceRecord] = []
-    for record in trace:
-        if record.kind == "epoch_fence":
-            fences.append(record)
-        elif record.kind == "epoch_switch":
-            switches.append(record)
+    fences = trace.select("epoch_fence")
+    switches = trace.select("epoch_switch")
     if not fences and not switches:
         return []
     events: List[Dict[str, object]] = [

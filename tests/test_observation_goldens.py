@@ -176,5 +176,10 @@ def test_trace_hands_subscribers_the_record_it_keeps():
     trace.subscribe(seen.append)
     trace.record(2.0, "publish", msg=1, group=0, sender=4)
     (kept,) = trace.select("publish")
-    assert seen == [kept] and seen[0].data is kept.data
-    assert kept == TraceRecord(2.0, "publish", {"msg": 1, "group": 0, "sender": 4})
+    # A view is rebuilt from the stored values: equal, key order included,
+    # to what was recorded and to what the subscriber got, not the same dict.
+    recorded = TraceRecord(2.0, "publish", {"msg": 1, "group": 0, "sender": 4})
+    assert seen == [kept] == [recorded]
+    assert list(seen[0].data.items()) == list(kept.data.items()) == [
+        ("msg", 1), ("group", 0), ("sender", 4)
+    ]

@@ -4,16 +4,19 @@ The reference below is the trace as it was when it stored one
 ``TraceRecord`` per record (a list, a per-kind list of records, a deque in
 ring mode).  Random programs of records, queries, clears and subscriber
 changes run on both, unbounded and as rings of 1–5 records; after every
-step the two must be indistinguishable to a reader.
+step the two must be indistinguishable to a reader.  Records come in both
+spellings: by keyword, and positionally against a declared ``Shape``,
+whose fields the reference receives by keyword.
 """
 
 from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.trace import Trace, TraceRecord
+from repro.runtime.trace import DELIVER, PUBLISH, Shape, Trace, TraceRecord
 
 
 class ListTrace:
@@ -83,6 +86,15 @@ class ListTrace:
 
 KINDS = ("publish", "deliver", "buffer", "atom_pass")
 KEYS = ("msg", "host", "group", "blocked_on")
+#: recorded positionally; each kind is also recorded by keyword with other
+#: key sets, and their keys reach outside KEYS so filters name keys a
+#: shape lacks
+SHAPES = (
+    PUBLISH,
+    Shape("deliver", ("host", "msg")),
+    Shape("buffer", ("blocked_on", "msg", "group", "host", "expected_seq")),
+    Shape("atom_pass", ()),
+)
 values = st.one_of(
     st.none(),
     st.integers(-2, 3),
@@ -92,12 +104,21 @@ values = st.one_of(
 times = st.one_of(st.integers(0, 5), st.floats(0, 5, allow_nan=False))
 kinds = st.sampled_from(KINDS)
 fields = st.dictionaries(st.sampled_from(KEYS), values, max_size=3)
-queried_kinds = st.one_of(st.none(), kinds, st.just("missing"))
-filters = st.dictionaries(st.sampled_from(KEYS), values, max_size=2)
+by_keyword = st.tuples(times, kinds, fields)
+positional = st.sampled_from(SHAPES).flatmap(
+    lambda shape: st.tuples(
+        times, st.just(shape), st.tuples(*[values] * len(shape.keys))
+    )
+)
+queried_kinds = st.one_of(st.none(), kinds, st.just("missing"), st.sampled_from(SHAPES))
+filters = st.dictionaries(st.sampled_from(KEYS + ("sender",)), values, max_size=2)
 subscribers = st.integers(0, 2)
 operations = st.one_of(
     # a run of records between queries, so rings evict and kinds interleave
-    st.tuples(st.just("record"), st.lists(st.tuples(times, kinds, fields), min_size=1, max_size=8)),
+    st.tuples(
+        st.just("record"),
+        st.lists(st.one_of(by_keyword, positional), min_size=1, max_size=8),
+    ),
     st.tuples(st.just("select"), queried_kinds, filters),
     st.tuples(st.just("iter_select"), queried_kinds, filters),
     st.tuples(st.just("iter")),
@@ -110,9 +131,13 @@ operations = st.one_of(
 
 
 def exact(records: Any) -> List[Any]:
-    """Field for field, with the time's type (an ``int`` time stays ``int``)
-    and the data's key order (both reach the export bytes)."""
-    return [(type(r), type(r.time), r.time, r.kind, list(r.data.items())) for r in records]
+    """Field for field, with the time's type (an ``int`` time stays ``int``),
+    the kind a plain ``str`` and the data's key order (all reach the export
+    bytes)."""
+    return [
+        (type(r), type(r.time), r.time, type(r.kind), r.kind, list(r.data.items()))
+        for r in records
+    ]
 
 
 class Side:
@@ -127,7 +152,13 @@ class Side:
         trace = self.trace
         if name == "record":
             for time, kind, data in args[0]:
-                trace.record(time, kind, **data)
+                if isinstance(data, dict):
+                    trace.record(time, kind, **data)
+                elif isinstance(trace, ListTrace):
+                    # the oracle gets the positional record's fields by name
+                    trace.record(time, kind.kind, **dict(zip(kind.keys, data)))
+                else:
+                    trace.record(time, kind, *data)
             return None
         if name == "select":
             return exact(trace.select(args[0], **args[1]))
@@ -172,5 +203,35 @@ def test_every_subscriber_gets_one_shared_record():
     trace.subscribe(first.append)
     trace.subscribe(second.append)
     trace.record(1, "publish", msg=0, group=2, sender=1)
-    assert first == second == [TraceRecord(1, "publish", {"msg": 0, "group": 2, "sender": 1})]
-    assert first[0] is second[0] and type(first[0].time) is int
+    trace.record(2, PUBLISH, 1, 2, 1)
+    assert first == second == [
+        TraceRecord(1, "publish", {"msg": 0, "group": 2, "sender": 1}),
+        TraceRecord(2, "publish", {"msg": 1, "group": 2, "sender": 1}),
+    ]
+    assert all(a is b for a, b in zip(first, second)) and type(first[0].time) is int
+
+
+def test_shapes_are_interned_and_equal_to_their_kind():
+    assert Shape("deliver", DELIVER.keys) is DELIVER
+    assert DELIVER == "deliver" and hash(DELIVER) == hash("deliver")
+    other = Shape("deliver", ("msg",))
+    assert other == DELIVER and other is not DELIVER
+    trace = Trace()
+    trace.record(1.0, "deliver", host=0, msg=1, group=2, sender=3, publish_time=0.5)
+    trace.record(2.0, DELIVER, 0, 2, 2, 3, 1.0)
+    trace.record(3.0, "deliver", msg=3)
+    assert [r.data["msg"] for r in trace.select("deliver")] == [1, 2, 3]
+    assert trace.count("deliver") == trace.count(DELIVER) == 3
+    assert trace._shapes[0] is trace._shapes[1] is DELIVER
+    assert trace._shapes[2] is other
+
+
+def test_the_two_spellings_do_not_mix():
+    trace = Trace()
+    with pytest.raises(TypeError):
+        trace.record(1.0, "publish", 1, 2, 3)
+    with pytest.raises(TypeError):
+        trace.record(1.0, PUBLISH, 1, 2, 3, extra=4)
+    with pytest.raises(TypeError):
+        trace.record(1.0, PUBLISH, msg=1, group=2, sender=3)
+    assert len(trace) == 0
