@@ -27,13 +27,6 @@ class GroupProfile:
     pass_through_atoms: int
     machine_hops: Optional[int] = None
 
-    @property
-    def overhead_fraction(self) -> float:
-        """Share of the path that is pass-through (pure overhead)."""
-        if self.path_atoms == 0:
-            return 0.0
-        return self.pass_through_atoms / self.path_atoms
-
 
 @dataclass
 class GraphReport:

@@ -10,7 +10,6 @@ delivery bookkeeping; subclasses implement their protocol's ``publish``.
 from typing import Any, Dict, List, Optional
 
 from repro.core.protocol import DeliveryRecord
-from repro.core.messages import Stamp
 from repro.pubsub.membership import GroupMembership
 from repro.sim.events import Simulator
 from repro.sim.network import Channel, Network
@@ -109,10 +108,6 @@ class BaselineFabric:
             return self.network.channel(src.name, dst.name)
         except KeyError:
             return self.network.connect(src.name, dst.name, max(delay, 0.01))
-
-    def make_stamp(self, group: int, seq: int) -> Stamp:
-        """A minimal stamp carrying the baseline's sequence number."""
-        return Stamp(group=group, group_seq=seq)
 
     # -- common public surface ---------------------------------------------
 

@@ -147,7 +147,3 @@ class VectorClockFabric(BaselineFabric):
             for host_id, process in self.host_processes.items()
             if process.pending
         }
-
-    def bytes_for_group(self, group: int) -> int:
-        """Wire size of the ordering metadata on a message to ``group``."""
-        return HEADER_BYTES + VECTOR_ENTRY_BYTES * len(self.membership.members(group))

@@ -13,7 +13,7 @@ Subcommands::
     repro workload replay out.json   # replay a saved workload, verify order
     repro trace run --hosts 32 --groups 8 --out run.jsonl \
                     --chrome run.trace.json --metrics metrics.prom
-                                     # instrumented run: lifecycle spans,
+                                     # instrumented run: per-group phases,
                                      # Perfetto trace, Prometheus metrics
     repro check --format json        # static analysis: simlint determinism
                                      # rules + C1/C2 graph verification
@@ -594,7 +594,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import exporters
-    from repro.obs import spans as spans_mod
+    from repro.obs.forensics import JourneyIndex, render_phases
     from repro.obs.live import PHASES, PhaseLatencyTracker
     from repro.obs.registry import MetricsRegistry
     from repro.obs.resources import GcPauseSampler, register_process_collectors
@@ -622,8 +622,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         fabric.run()
     stuck = fabric.pending_messages()
 
-    span_map = spans_mod.build_spans(fabric.trace)
-    breakdown = spans_mod.phase_breakdown_by_group(span_map)
     print(
         f"published {args.events} messages over {len(groups)} groups "
         f"({args.hosts} hosts); {fabric.sim.events_executed} events, "
@@ -631,7 +629,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     print()
     print("per-group mean phase latency breakdown:")
-    print(spans_mod.render_phase_table(breakdown))
+    print(render_phases(JourneyIndex(fabric.trace)))
     print()
     print("per-phase latency percentiles (virtual ms):")
     summary = latency.summary()

@@ -157,10 +157,6 @@ class DeliveryState:
 
     # ------------------------------------------------------------------
 
-    def subscribes_to(self, group: int) -> bool:
-        """Whether this receiver tracks the given group."""
-        return group in self._layouts
-
     def _layout(self, stamp: Stamp) -> _Layout:
         """The layout ``stamp`` conforms to, worked out now if it is new."""
         group = stamp.group

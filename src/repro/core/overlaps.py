@@ -90,21 +90,3 @@ def overlap_clusters(pairs: Iterable[OverlapPair]) -> List[List[OverlapPair]]:
                         frontier.append(other)
         clusters.append(sorted(cluster))
     return clusters
-
-
-def groups_with_overlaps(pairs: Iterable[OverlapPair]) -> Set[int]:
-    """The set of groups that appear in at least one double overlap."""
-    result: Set[int] = set()
-    for g, h in pairs:
-        result.add(g)
-        result.add(h)
-    return result
-
-
-def overlap_count_by_group(pairs: Iterable[OverlapPair]) -> Dict[int, int]:
-    """How many double overlaps each group participates in."""
-    counts: Dict[int, int] = {}
-    for g, h in pairs:
-        counts[g] = counts.get(g, 0) + 1
-        counts[h] = counts.get(h, 0) + 1
-    return counts

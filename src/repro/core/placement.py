@@ -75,13 +75,6 @@ class Placement:
         """Sequencing node hosting ``atom_id``."""
         return self.nodes[self._node_of_atom[atom_id]]
 
-    def machine_of(self, atom_id: AtomId) -> int:
-        """Router hosting ``atom_id``; raises if machines are unassigned."""
-        machine = self.node_of(atom_id).machine
-        if machine is None:
-            raise ValueError(f"atom {atom_id} has no machine assigned yet")
-        return machine
-
     def sequencing_nodes(self, include_ingress_only: bool = False) -> List[SequencingNode]:
         """Sequencing nodes, by default only non-ingress-only ones.
 

@@ -65,7 +65,6 @@ from repro.runtime.trace import (
     DISTRIBUTE,
     DRAIN,
     PUBLISH,
-    SEQ_HOP,
     Trace,
 )
 from repro.topology.clusters import Host
@@ -329,7 +328,7 @@ class HostProcess(Process):
         # a buffer (see handle), and every buffer release, becomes a trace
         # record carrying the exact blocking (atom, expected_seq) gap.
         # The drain callback fires only on out-of-order arrivals and skips
-        # all work while tracing is disabled, like ``seq_hop``.
+        # all work while tracing is disabled, like ``atom_seq``.
         delivery.on_drain = self._record_drain
         #: msg_id -> virtual time it entered the hold-back buffer
         self._buffered_at: Dict[int, float] = {}
@@ -623,13 +622,6 @@ class SequencingNodeProcess(Process):
                 "but not hosted"
             )
         trace = self.fabric.trace
-        if trace.enabled:
-            # Guarded: hop records are high-volume, so the disabled path
-            # must not even pack the values (see the Trace contract).
-            trace.record(
-                self.sim.now, SEQ_HOP, message.msg_id, self.node_id,
-                runtime.atom_id.label,
-            )
         while True:
             if trace.enabled:
                 next_atom = self._process_traced(runtime, message)
@@ -969,7 +961,7 @@ class OrderingFabric:
         key = (src.name, dst.name)
         self.retransmits_by_link[key] = self.retransmits_by_link.get(key, 0) + 1
         if self.trace.enabled:
-            # Guarded like seq_hop: retransmissions can be high-volume
+            # Guarded like atom_seq: retransmissions can be high-volume
             # under chaos, and the forensics joins need the per-event
             # (time, link, cause) stream, not just the counters.
             self.trace.record(

@@ -10,7 +10,7 @@
   versus vector timestamps (the Section 4.4 comparison).
 """
 
-from repro.metrics.overhead import stamp_overhead_bytes, worst_case_stamp_entries
+from repro.metrics.overhead import stamp_overhead_bytes
 from repro.metrics.stats import cdf, percentile, summarize
 from repro.metrics.stress import (
     atoms_on_path_ratios,
@@ -31,5 +31,4 @@ __all__ = [
     "sequencing_node_count",
     "stamp_overhead_bytes",
     "summarize",
-    "worst_case_stamp_entries",
 ]

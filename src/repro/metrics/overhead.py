@@ -13,11 +13,7 @@ of nodes exceeds the number of groups."
 
 from typing import Dict
 
-from repro.core.messages import (
-    ATOM_ENTRY_BYTES,
-    HEADER_BYTES,
-    vector_timestamp_bytes,
-)
+from repro.core.messages import ATOM_ENTRY_BYTES, HEADER_BYTES
 from repro.core.sequencing_graph import SequencingGraph
 
 
@@ -27,17 +23,3 @@ def stamp_overhead_bytes(graph: SequencingGraph) -> Dict[int, int]:
         group: HEADER_BYTES + ATOM_ENTRY_BYTES * len(graph.atoms_of_group(group))
         for group in graph.groups()
     }
-
-
-def worst_case_stamp_entries(graph: SequencingGraph) -> int:
-    """Most sequence numbers any group's messages must carry."""
-    groups = graph.groups()
-    if not groups:
-        return 0
-    return max(len(graph.atoms_of_group(group)) for group in groups)
-
-
-def overhead_ratio_vs_vector(graph: SequencingGraph, n_nodes: int) -> float:
-    """Worst-case stamp bytes / vector-timestamp bytes (< 1 means we win)."""
-    worst = HEADER_BYTES + ATOM_ENTRY_BYTES * worst_case_stamp_entries(graph)
-    return worst / vector_timestamp_bytes(n_nodes)

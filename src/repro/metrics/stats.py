@@ -35,30 +35,3 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
         "max": float(array.max()),
     }
 
-
-def cdf_at(values: Sequence[float], thresholds: Sequence[float]) -> List[float]:
-    """Fraction of samples <= each threshold (CDF sampled at points)."""
-    array = np.sort(np.asarray(values, dtype=float))
-    return [float(np.searchsorted(array, t, side="right")) / len(array) for t in thresholds]
-
-
-def mean_confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float, float]:
-    """``(mean, low, high)`` with a Student-t confidence interval.
-
-    For a single sample the interval degenerates to the point itself.
-    """
-    from scipy import stats as scipy_stats
-
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        raise ValueError("confidence interval of empty sequence")
-    mean = float(array.mean())
-    if array.size == 1:
-        return (mean, mean, mean)
-    sem = float(scipy_stats.sem(array))
-    if sem == 0:
-        return (mean, mean, mean)
-    half = sem * float(scipy_stats.t.ppf((1 + confidence) / 2, array.size - 1))
-    return (mean, mean - half, mean + half)

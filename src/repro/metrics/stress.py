@@ -18,7 +18,6 @@ from typing import Dict, List
 
 from repro.core.placement import Placement
 from repro.core.sequencing_graph import SequencingGraph
-from repro.pubsub.membership import GroupMembership
 
 
 def sequencing_node_count(placement: Placement) -> int:
@@ -64,31 +63,6 @@ def atoms_on_path_ratios(graph: SequencingGraph, n_hosts: int) -> List[float]:
     ]
 
 
-def path_lengths(graph: SequencingGraph) -> Dict[int, int]:
-    """Full path length (atoms traversed, incl. pass-through) per group."""
-    return {group: len(graph.group_path(group)) for group in graph.groups()}
-
-
 def double_overlap_count(graph: SequencingGraph) -> int:
     """Number of active overlap atoms (= double overlaps; Figure 8)."""
     return len(graph.overlap_atoms(include_retired=False))
-
-
-def max_receiver_group_load(membership: GroupMembership) -> int:
-    """Most groups any single subscriber belongs to.
-
-    The paper's scalability bound: every group a sequencing node forwards
-    shares a member, so that member's subscription count upper-bounds the
-    node's group load (Section 4.3).
-    """
-    nodes = membership.nodes()
-    if not nodes:
-        return 0
-    return max(len(membership.groups_of(node)) for node in nodes)
-
-
-def node_group_loads(graph: SequencingGraph, placement: Placement) -> List[int]:
-    """Groups forwarded per non-ingress-only node (absolute counts)."""
-    total_groups = len(graph.groups())
-    stresses = node_stress(graph, placement)
-    return [round(stress * total_groups) for stress in stresses]

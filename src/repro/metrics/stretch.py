@@ -44,19 +44,6 @@ def latency_stretch_by_destination(fabric: OrderingFabric) -> Dict[int, float]:
     return {dest: sums[dest] / counts[dest] for dest in sums}
 
 
-def delivery_latencies(fabric: OrderingFabric) -> List[float]:
-    """Raw publish-to-deliver latencies of every delivered message copy.
-
-    Used by the throughput and failure benchmarks for percentile
-    reporting.
-    """
-    return [
-        record.time - record.publish_time
-        for process in fabric.host_processes.values()
-        for record in process.delivered
-    ]
-
-
 def rdp_by_pair(fabric: OrderingFabric) -> List[Tuple[float, float]]:
     """``(unicast_delay, rdp)`` scatter points per sender–destination pair.
 

@@ -10,11 +10,11 @@ Three formats, three consumers:
   lines, ``name{labels} value`` samples), scrape-compatible and greppable.
 * **Chrome trace events** — the ``traceEvents`` JSON consumed by Perfetto
   and ``chrome://tracing``: one track (thread) per sequencing node, one
-  complete slice per message hop, instant events for publish/deliver, and
-  one flow (``ph: "s"/"t"/"f"``, flow id = message id) threading each
-  message's publish through its sequencing hops to every delivery so the
-  hops connect visually.  Timestamps are **virtual** simulation time (ms),
-  exported in the format's microsecond unit.
+  complete slice per sequencing-node visit, instant events for
+  publish/deliver, and one flow (``ph: "s"/"t"/"f"``, flow id = message
+  id) threading each message's publish through its visits to every
+  delivery so they connect visually.  Timestamps are **virtual**
+  simulation time (ms), exported in the format's microsecond unit.
 """
 
 import json
@@ -22,8 +22,8 @@ import math
 import pathlib
 from typing import Dict, List, Union
 
+from repro.obs.forensics import JourneyIndex
 from repro.obs.registry import Histogram, MetricsRegistry
-from repro.obs.spans import build_spans, hop_intervals
 from repro.runtime.trace import Trace, TraceRecord
 
 PathLike = Union[str, pathlib.Path]
@@ -57,8 +57,8 @@ def trace_from_jsonl(text: str) -> List[TraceRecord]:
     Numeric data fields come back as real ints/floats (JSON preserves the
     distinction), and ``time`` is coerced to ``float`` even when the writer
     serialized a whole number without a fractional part — consumers doing
-    arithmetic on times (:mod:`repro.obs.forensics`, :mod:`repro.obs.spans`)
-    must behave identically on a loaded trace and a live one.
+    arithmetic on times (:mod:`repro.obs.forensics`) must behave
+    identically on a loaded trace and a live one.
     """
     records: List[TraceRecord] = []
     for line in text.splitlines():
@@ -150,7 +150,7 @@ HOSTS_PID = 2
 #: not 3: the number is part of every exported trace's bytes
 EPOCHS_PID = 4
 
-#: Minimum slice duration (µs) so zero-length hops stay visible.
+#: Minimum slice duration (µs) so zero-length visits stay visible.
 MIN_SLICE_US = 1.0
 
 
@@ -272,10 +272,11 @@ def trace_to_chrome(trace: Trace) -> Dict[str, object]:
     """Build a Chrome trace-event document from a fabric trace.
 
     Layout: the "sequencing nodes" process has one thread per node with a
-    complete (``ph: "X"``) slice per message visit; the "hosts" process has
-    one thread per host with instant (``ph: "i"``) publish/deliver events.
+    complete (``ph: "X"``) slice per message visit (:meth:`Journey.visits
+    <repro.obs.forensics.Journey.visits>`); the "hosts" process has one
+    thread per host with instant (``ph: "i"``) publish/deliver events.
     Each message additionally emits one flow — start (``ph: "s"``) at the
-    publish, a step (``ph: "t"``) at every sequencing hop, and a finish
+    publish, a step (``ph: "t"``) at every visit, and a finish
     (``ph: "f"``, binding point ``"e"``) at every delivery — all sharing
     the message id as flow id, so Perfetto draws arrows connecting the
     message's path across tracks.  Load the result in Perfetto or
@@ -285,7 +286,7 @@ def trace_to_chrome(trace: Trace) -> Dict[str, object]:
     process with switch slices and per-group fence instants (see
     :func:`epoch_events`).
     """
-    spans = build_spans(trace)
+    journeys = JourneyIndex(trace).journeys
     events: List[Dict[str, object]] = [
         {
             "ph": "M",
@@ -331,70 +332,74 @@ def trace_to_chrome(trace: Trace) -> Dict[str, object]:
                 }
             )
 
-    for msg_id in sorted(spans):
-        span = spans[msg_id]
+    for msg_id in sorted(journeys):
+        journey = journeys[msg_id]
+        if journey.is_fence:
+            continue  # drawn on the epochs process (see epoch_events)
         flow = {"cat": FLOW_CAT, "name": f"m{msg_id}", "id": msg_id}
-        name_host(span.sender)
+        name_host(journey.sender)
         events.append(
             {
                 "ph": "i",
                 "name": f"publish m{msg_id}",
-                "ts": _us(span.publish_time),
+                "ts": _us(journey.publish_time),
                 "pid": HOSTS_PID,
-                "tid": span.sender,
+                "tid": journey.sender,
                 "s": "t",
-                "args": {"msg": msg_id, "group": span.group},
+                "args": {"msg": msg_id, "group": journey.group},
             }
         )
         events.append(
             {
                 "ph": "s",
-                "ts": _us(span.publish_time),
+                "ts": _us(journey.publish_time),
                 "pid": HOSTS_PID,
-                "tid": span.sender,
+                "tid": journey.sender,
                 **flow,
             }
         )
-        for node, start, end in hop_intervals(span):
-            name_node(node)
+        for visit in journey.visits():
+            name_node(visit.node)
             events.append(
                 {
                     "ph": "X",
-                    "name": f"m{msg_id} g{span.group}",
-                    "ts": _us(start),
-                    "dur": max(_us(end - start), MIN_SLICE_US),
+                    "name": f"m{msg_id} g{journey.group}",
+                    "ts": _us(visit.start),
+                    "dur": max(_us(visit.end - visit.start), MIN_SLICE_US),
                     "pid": SEQUENCING_PID,
-                    "tid": node,
-                    "args": {"msg": msg_id, "group": span.group},
+                    "tid": visit.node,
+                    "args": {"msg": msg_id, "group": journey.group},
                 }
             )
             events.append(
                 {
                     "ph": "t",
-                    "ts": _us(start),
+                    "ts": _us(visit.start),
                     "pid": SEQUENCING_PID,
-                    "tid": node,
+                    "tid": visit.node,
                     **flow,
                 }
             )
-        for host in sorted(span.deliveries):
+        for host, leg in sorted(journey.legs.items()):
+            if leg.deliver_time is None:
+                continue  # still held back when the trace ends
             name_host(host)
             events.append(
                 {
                     "ph": "i",
                     "name": f"deliver m{msg_id}",
-                    "ts": _us(span.deliveries[host]),
+                    "ts": _us(leg.deliver_time),
                     "pid": HOSTS_PID,
                     "tid": host,
                     "s": "t",
-                    "args": {"msg": msg_id, "group": span.group},
+                    "args": {"msg": msg_id, "group": journey.group},
                 }
             )
             events.append(
                 {
                     "ph": "f",
                     "bp": "e",
-                    "ts": _us(span.deliveries[host]),
+                    "ts": _us(leg.deliver_time),
                     "pid": HOSTS_PID,
                     "tid": host,
                     **flow,

@@ -7,6 +7,10 @@ say *that* a receiver buffered; this module says *why* — which missing
 what delayed the missing predecessor (loss, a link outage, a crashed
 peer, failover replay, or nothing at all — it was genuinely in flight).
 
+The journey is the one reconstruction of a message's path: ``repro
+explain``, the campaigns, the explorer, the Chrome exporter and ``repro
+trace run``'s phase table all read it.
+
 Everything is rebuilt from trace records, so forensics works identically
 on a live :class:`~repro.runtime.trace.Trace` and on a JSONL export loaded
 from disk.  The flight-recorder kinds consumed here:
@@ -15,7 +19,6 @@ from disk.  The flight-recorder kinds consumed here:
 kind             data fields
 ===============  ==========================================================
 ``publish``      ``msg``, ``group``, ``sender``
-``seq_hop``      ``msg``, ``node``, ``atom`` (entry atom of a node visit)
 ``atom_seq``     ``msg``, ``node``, ``atom``, ``seq`` (overlap number or
                  null), ``group_seq`` (group-local number or null)
 ``atom_pass``    ``msg``, ``node``, ``atom`` (pass-through, arrival order)
@@ -51,8 +54,11 @@ __all__ = [
     "Journey",
     "JourneyIndex",
     "ReceiverLeg",
+    "Visit",
     "render_journey",
+    "render_phases",
     "render_stalls",
+    "stall_verdict",
     "waits_to_dot",
 ]
 
@@ -73,6 +79,25 @@ CAUSE_IN_FLIGHT = "in_flight"
 CAUSE_LINK_FAILURE = "link_failure"
 
 
+def stall_verdict(evidence: Dict[str, int], drained: bool) -> str:
+    """The cause of one hold-back stall, from the fault evidence counted
+    inside its window — the one verdict :class:`JourneyIndex` and the live
+    monitor's LM303 both give.
+
+    A gap that never drained with an abandoned packet in its window is a
+    ``link_failure``: the predecessor will not arrive, so the gap is
+    permanent, not a slow retransmission.  Otherwise the first cause of
+    :data:`CAUSE_PRIORITY` with evidence wins, and ``in_flight`` when
+    there is none.
+    """
+    if not drained and evidence.get(CAUSE_LINK_FAILURE):
+        return CAUSE_LINK_FAILURE
+    for cause in CAUSE_PRIORITY:
+        if evidence.get(cause):
+            return cause
+    return CAUSE_IN_FLIGHT
+
+
 @dataclass(frozen=True)
 class AtomEvent:
     """One atom's decision about one message (stamp or pass-through)."""
@@ -86,6 +111,18 @@ class AtomEvent:
     seq: Optional[int] = None
     #: group-local number assigned (ingress stamping), if any
     group_seq: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class Visit:
+    """One sequencing-node visit, however many co-located atoms ran."""
+
+    node: int
+    #: the atom the message entered the node at
+    atom: str
+    start: float
+    #: when the message reached the next node, or was distributed
+    end: float
 
 
 @dataclass
@@ -151,13 +188,6 @@ class ReceiverLeg:
     deliver_time: Optional[float] = None
     buffer: Optional[BufferEvent] = None
 
-    @property
-    def holdback_wait(self) -> Optional[float]:
-        """Time spent in the hold-back buffer (0 for direct deliveries)."""
-        if self.deliver_time is None:
-            return None
-        return self.deliver_time - self.arrival_time
-
 
 @dataclass
 class Journey:
@@ -175,13 +205,60 @@ class Journey:
     #: True for epoch-fence markers (consumed by the fabric, not the app)
     is_fence: bool = False
 
-    def nodes_visited(self) -> List[int]:
-        """Sequencing nodes on the message's path, in visit order."""
-        nodes: List[int] = []
-        for event in self.atom_events:
-            if not nodes or nodes[-1] != event.node:
-                nodes.append(event.node)
-        return nodes
+    def visits(self) -> List[Visit]:
+        """Sequencing-node visits, in path order.
+
+        A visit starts at an atom record whose node differs from the
+        message's previous atom record, and ends where the next one starts;
+        the last ends at distribution, or at the last atom record when
+        nothing was distributed.  Exact, because a node runs a message
+        through all its co-located atoms at one instant, and sends it on
+        only toward an atom it does not host.
+        """
+        events = self.atom_events
+        starts = [
+            event
+            for i, event in enumerate(events)
+            if i == 0 or event.node != events[i - 1].node
+        ]
+        if not starts:
+            return []
+        ends = [event.time for event in starts[1:]]
+        ends.append(
+            self.distribute_time
+            if self.distribute_time is not None
+            else events[-1].time
+        )
+        return [
+            Visit(event.node, event.atom, event.time, end)
+            for event, end in zip(starts, ends)
+        ]
+
+    def phases(self, host: int) -> Optional[Dict[str, float]]:
+        """The paper's pipeline phases (Section 3.1) for the copy delivered
+        to ``host``, which partition its publish-to-deliver interval:
+
+        * ``ingress`` — publish until the first atom,
+        * ``sequencing`` — first atom until distribution fan-out,
+        * ``distribution`` — fan-out until delivery, hold-back included.
+
+        Returns ``None`` while the journey is incomplete for ``host``
+        (undelivered, or the trace lacks sequencing records).
+        """
+        leg = self.legs.get(host)
+        if (
+            leg is None
+            or leg.deliver_time is None
+            or self.distribute_time is None
+            or not self.atom_events
+        ):
+            return None
+        first_atom = self.atom_events[0].time
+        return {
+            "ingress": first_atom - self.publish_time,
+            "sequencing": self.distribute_time - first_atom,
+            "distribution": leg.deliver_time - self.distribute_time,
+        }
 
     def breakdown(self, host: int) -> Optional[Dict[str, float]]:
         """Split one copy's end-to-end latency into its three causes.
@@ -193,20 +270,15 @@ class Journey:
         * ``propagation`` — everything else: publisher-to-ingress plus
           fan-out-to-receiver wire time.
 
-        The three sum exactly to ``total``.  Returns ``None`` while the
-        journey is incomplete for ``host`` (undelivered, or the trace
-        lacks sequencing records).
+        The three sum exactly to ``total``.  ``None`` exactly when
+        :meth:`phases` is.
         """
-        leg = self.legs.get(host)
-        if (
-            leg is None
-            or leg.deliver_time is None
-            or self.distribute_time is None
-            or not self.atom_events
-        ):
+        phases = self.phases(host)
+        if phases is None:
             return None
-        first_atom = self.atom_events[0].time
-        sequencing = self.distribute_time - first_atom
+        leg = self.legs[host]
+        assert leg.deliver_time is not None  # phases() checked it
+        sequencing = phases["sequencing"]
         holdback = leg.deliver_time - leg.arrival_time
         total = leg.deliver_time - self.publish_time
         return {
@@ -288,13 +360,6 @@ class JourneyIndex:
         for index, record in enumerate(records):
             self._ingest(index, record)
         self._attribute_all()
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "JourneyIndex":
-        """Build from a JSONL export (see ``write_trace_jsonl``)."""
-        from repro.obs.exporters import trace_from_jsonl
-
-        return cls(trace_from_jsonl(text))
 
     # -- ingestion ---------------------------------------------------------
 
@@ -447,8 +512,8 @@ class JourneyIndex:
         if journey is None:
             return None
         names = [repr(("host", journey.sender)), repr(("host", event.host))]
-        for node in journey.nodes_visited():
-            names.append(repr(("seq", node)))
+        for visit in journey.visits():
+            names.append(repr(("seq", visit.node)))
         if journey.distribute_node is not None:
             names.append(repr(("seq", journey.distribute_node)))
         return names
@@ -495,17 +560,7 @@ class JourneyIndex:
                     evidence.get(CAUSE_EPOCH_SWITCH, 0) + 1
                 )
         event.evidence = evidence
-        event.cause = self._verdict(event, evidence)
-
-    def _verdict(self, event: BufferEvent, evidence: Dict[str, int]) -> str:
-        if not event.resolved and evidence.get(CAUSE_LINK_FAILURE):
-            # The predecessor (or its delivery copy) was abandoned for
-            # good — the gap is permanent, not a slow retransmission.
-            return CAUSE_LINK_FAILURE
-        for cause in CAUSE_PRIORITY:
-            if evidence.get(cause):
-                return cause
-        return CAUSE_IN_FLIGHT
+        event.cause = stall_verdict(evidence, drained=event.resolved)
 
     # -- queries -----------------------------------------------------------
 
@@ -662,6 +717,35 @@ def render_journey(journey: Journey) -> str:
             f"sequencing {breakdown['sequencing']:.3f} + "
             f"holdback {breakdown['holdback']:.3f}"
         )
+    return "\n".join(lines)
+
+
+def render_phases(index: JourneyIndex) -> str:
+    """Aligned table of the mean :meth:`Journey.phases` per group, over
+    every delivered copy whose journey is complete (fences excluded)."""
+    names = ("ingress", "sequencing", "distribution")
+    sums: Dict[int, Dict[str, float]] = {}
+    counts: Dict[int, int] = {}
+    for journey in index.journeys.values():
+        if journey.is_fence:
+            continue
+        for host in journey.legs:
+            phases = journey.phases(host)
+            if phases is None:
+                continue
+            bucket = sums.setdefault(journey.group, dict.fromkeys(names, 0.0))
+            for name in names:
+                bucket[name] += phases[name]
+            counts[journey.group] = counts.get(journey.group, 0) + 1
+    headers = ["group"] + [f"{name}_ms" for name in names] + ["total_ms"]
+    widths = [max(10, len(h)) for h in headers]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+    lines.append("  ".join("-" * w for w in widths))
+    for group in sorted(sums):
+        means = [sums[group][name] / counts[group] for name in names]
+        cells = [str(group)] + [f"{mean:.3f}" for mean in means]
+        cells.append(f"{sum(means):.3f}")
+        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
 
 

@@ -206,10 +206,3 @@ def _collect_simulator(sim: "NodeHandle", registry: MetricsRegistry) -> None:
     registry.gauge(
         "repro_sim_heap_high_water", "peak event-queue depth"
     ).set_max(getattr(sim, "heap_high_water", 0))
-
-
-def instrument_simulator(sim: "NodeHandle", registry: MetricsRegistry) -> None:
-    """Register a collector for a bare scheduler (no fabric)."""
-    if not registry.enabled:
-        return
-    registry.register_collector(lambda reg: _collect_simulator(sim, reg))

@@ -10,10 +10,10 @@ Everything in this package consumes the runtime trace **as a stream**
   byte-identical to auditing the fabric directly.
 * :mod:`repro.obs.live.latency` — :class:`PhaseLatencyTracker`, per-phase
   (delivery / sequencing / hold-back) fixed-bucket log-scale histograms
-  with p50/p99/p999 summaries, exactly mergeable across nodes.
+  with p50/p99/p999 summaries.
 * :mod:`repro.obs.live.snapshot` — :class:`TelemetrySnapshot`, the
   serializable wire form served by the runtime service's ``metrics``
-  verb and merged across nodes.
+  verb.
 * :mod:`repro.obs.live.top` — the ``repro top`` refreshing terminal
   operator view, driven live over TCP or by replaying a JSONL trace.
 
@@ -26,7 +26,6 @@ runs.
 from repro.obs.live.latency import (
     PHASES,
     PhaseLatencyTracker,
-    merge_phase_histograms,
     phase_summary,
 )
 from repro.obs.live.monitors import (
@@ -39,7 +38,6 @@ from repro.obs.live.snapshot import (
     SNAPSHOT_FORMAT,
     WIRE_ALERTS,
     TelemetrySnapshot,
-    merge_snapshots,
 )
 
 __all__ = [
@@ -52,7 +50,5 @@ __all__ = [
     "STALL_THRESHOLD_MS",
     "TelemetrySnapshot",
     "WIRE_ALERTS",
-    "merge_phase_histograms",
-    "merge_snapshots",
     "phase_summary",
 ]

@@ -19,11 +19,10 @@ fixed-bucket log-scale histograms (:func:`repro.obs.registry.log_buckets`,
 
 All values are **virtual milliseconds**, so the same percentiles come out
 of a simulated run and a live asyncio run (scaled by the backend's
-clock).  Fixed buckets make per-node histograms mergeable exactly
-(:meth:`repro.obs.registry.Histogram.merge_counts`).
+clock).
 """
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.runtime.trace import TraceRecord
@@ -92,12 +91,3 @@ def phase_summary(histogram: Histogram) -> Dict[str, float]:
         out[label] = histogram.quantile(q)
     out["max"] = histogram.max
     return out
-
-
-def merge_phase_histograms(
-    target: Mapping[str, Histogram], source: Mapping[str, Histogram]
-) -> None:
-    """Fold ``source``'s per-phase histograms into ``target``'s."""
-    for phase, histogram in source.items():
-        if phase in target:
-            target[phase].merge_counts(histogram)

@@ -68,11 +68,7 @@ from repro.check.invariants import (
     RunView,
     verify_run,
 )
-from repro.obs.forensics import (
-    CAUSE_IN_FLIGHT,
-    CAUSE_LINK_FAILURE,
-    CAUSE_PRIORITY,
-)
+from repro.obs.forensics import CAUSE_LINK_FAILURE, stall_verdict
 from repro.obs.live.latency import PhaseLatencyTracker
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.trace import TraceRecord
@@ -90,6 +86,9 @@ MONITOR_RULES: Dict[str, Tuple[str, str]] = {
 
 #: Default virtual-ms a message may sit buffered before LM303 fires.
 STALL_THRESHOLD_MS = 50.0
+#: Fault records kept for LM303's cause attribution (a ring: the oldest
+#: falls out, so a stall's window sees at most this many).
+FAULT_WINDOW = 512
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,9 @@ class LiveMonitor:
     max_alerts:
         Hard cap on retained alerts; further alerts are counted in
         :attr:`alerts_dropped` but not stored.
-    fault_window:
-        Size of the fault-evidence ring used for LM303 cause attribution.
+
+    LM303's fault evidence lives in a ring of :data:`FAULT_WINDOW`
+    records, a module constant like :data:`STALL_THRESHOLD_MS`'s default.
     """
 
     def __init__(
@@ -151,7 +151,6 @@ class LiveMonitor:
         registry: Optional[MetricsRegistry] = None,
         retain_audit: bool = True,
         max_alerts: int = 10_000,
-        fault_window: int = 512,
     ):
         self.node = node
         self.stall_threshold_ms = stall_threshold_ms
@@ -170,7 +169,6 @@ class LiveMonitor:
         self.now = 0.0
         self.epoch: Optional[int] = None
         self._trace: Optional[Any] = None
-        self._fault_window = fault_window
         #: record kind -> what consumes it
         self._handlers: Dict[str, Callable[[TraceRecord], None]] = {
             "deliver": self._on_deliver,
@@ -274,7 +272,7 @@ class LiveMonitor:
         self._holdback_depth: Dict[int, int] = {}
         #: fault-evidence ring: (time, cause)
         self._recent_faults: Deque[Tuple[float, str]] = deque(
-            maxlen=self._fault_window
+            maxlen=FAULT_WINDOW
         )
         #: epoch-switch windows: (begin, end-or-None), bounded
         self._switch_windows: Deque[Tuple[float, Optional[float]]] = deque(
@@ -507,7 +505,9 @@ class LiveMonitor:
     def _attribute(
         self, since: float, until: float
     ) -> Tuple[str, Dict[str, int]]:
-        """Forensics-style cause verdict for a stall window."""
+        """The evidence in a stall window and its verdict.  The monitor has
+        no path to match faults against, so every fault in the ring counts;
+        the gap is still open, so it asks for the undrained verdict."""
         evidence: Dict[str, int] = {}
         for time, cause in self._recent_faults:
             if since <= time <= until:
@@ -516,12 +516,7 @@ class LiveMonitor:
             closed = until if end is None else min(end, until)
             if begin <= until and closed >= since:
                 evidence["epoch_switch"] = evidence.get("epoch_switch", 0) + 1
-        for cause in CAUSE_PRIORITY:
-            if evidence.get(cause):
-                return cause, evidence
-        if evidence.get(CAUSE_LINK_FAILURE):
-            return CAUSE_LINK_FAILURE, evidence
-        return CAUSE_IN_FLIGHT, evidence
+        return stall_verdict(evidence, drained=False), evidence
 
     def _on_epoch_fence(self, record: TraceRecord) -> None:
         data = record.data

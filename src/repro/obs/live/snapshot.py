@@ -1,14 +1,10 @@
-"""Serializable telemetry snapshots, mergeable across nodes.
+"""Serializable telemetry snapshots.
 
 A :class:`TelemetrySnapshot` is the wire form of one node's live
 telemetry: throughput totals, per-phase latency histograms (bucket
-counts, not pre-computed quantiles — so merging stays exact), hold-back
-occupancy, outstanding epoch fences, and the streaming-monitor alert
-feed.  The service façade answers its ``metrics`` verb with one of
-these; an operator view aggregating a fabric merges the per-node
-snapshots with :meth:`TelemetrySnapshot.merge` and computes percentiles
-*after* the merge, which the fixed-bucket scheme makes exact
-(:meth:`repro.obs.registry.Histogram.merge_counts`).
+counts, not pre-computed quantiles), hold-back occupancy, outstanding
+epoch fences, and the streaming-monitor alert feed.  The service façade
+answers its ``metrics`` verb with one of these.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +16,7 @@ from repro.obs.registry import Histogram
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.live.monitors import LiveMonitor
 
-__all__ = ["TelemetrySnapshot", "SNAPSHOT_FORMAT", "WIRE_ALERTS", "merge_snapshots"]
+__all__ = ["TelemetrySnapshot", "SNAPSHOT_FORMAT", "WIRE_ALERTS"]
 
 #: Schema tag embedded in every serialized snapshot.
 SNAPSHOT_FORMAT = "repro-telemetry/1"
@@ -157,61 +153,3 @@ class TelemetrySnapshot:
                 str(p): dict(d) for p, d in data.get("phases", {}).items()
             },
         )
-
-    def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
-        """Exact cross-node aggregate of two snapshots.
-
-        Totals add, hold-back depths add per host, fence gaps union,
-        histograms merge bucket-by-bucket (identical fixed schemes), the
-        alert counters add and the alert feeds interleave by time (the
-        newest :data:`WIRE_ALERTS` are kept).  Quantiles computed from the
-        merged histogram equal those of a single histogram that observed
-        the union of both nodes' samples.
-        """
-        merged = TelemetrySnapshot(
-            node=f"{self.node}+{other.node}",
-            now=max(self.now, other.now),
-            published=self.published + other.published,
-            delivered=self.delivered + other.delivered,
-            alerts=sorted(
-                list(self.alerts) + list(other.alerts),
-                key=lambda a: (a.get("time", 0.0), a.get("rule", "")),
-            )[-WIRE_ALERTS:],
-            alerts_dropped=self.alerts_dropped + other.alerts_dropped,
-            violations=self.violations + other.violations,
-            warnings=self.warnings + other.warnings,
-            holdback=dict(self.holdback),
-            fences={g: list(m) for g, m in self.fences.items()},
-            epoch=(
-                other.epoch
-                if self.epoch is None
-                else self.epoch
-                if other.epoch is None
-                else max(self.epoch, other.epoch)
-            ),
-        )
-        for host, depth in other.holdback.items():
-            merged.holdback[host] = merged.holdback.get(host, 0) + depth
-        for group, missing in other.fences.items():
-            merged.fences[group] = sorted(
-                set(merged.fences.get(group, [])) | set(missing)
-            )
-        for phase in sorted(set(self.phases) | set(other.phases)):
-            ours, theirs = self.phases.get(phase), other.phases.get(phase)
-            if ours is None or theirs is None:
-                merged.phases[phase] = dict(ours or theirs or {})
-                continue
-            histogram = _histogram_from_dict(phase, ours)
-            histogram.merge_counts(_histogram_from_dict(phase, theirs))
-            merged.phases[phase] = _histogram_to_dict(histogram)
-        return merged
-
-
-def merge_snapshots(
-    snapshots: List[TelemetrySnapshot],
-) -> Optional[TelemetrySnapshot]:
-    """Fold a list of per-node snapshots into one aggregate (None if empty)."""
-    merged: Optional[TelemetrySnapshot] = None
-    for snapshot in snapshots:
-        merged = snapshot if merged is None else merged.merge(snapshot)
-    return merged

@@ -92,9 +92,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def set_max(self, value: float) -> None:
         """Raise the gauge to ``value`` if larger (high-water mark)."""
         if value > self.value:
@@ -171,26 +168,6 @@ class Histogram:
             lower = bound
         return self.max
 
-    def merge_counts(self, other: "Histogram") -> None:
-        """Fold another histogram with the identical bucket scheme in.
-
-        This is what makes the fixed-bucket scheme mergeable across
-        nodes: per-bucket counts, ``count``, ``sum``, and ``max`` all
-        combine exactly, so quantiles over the merge are as accurate as
-        over a single histogram observing the union.
-        """
-        if tuple(other.buckets) != self.buckets:
-            raise ValueError(
-                f"bucket schemes differ ({len(other.buckets)} vs "
-                f"{len(self.buckets)} bounds); refusing a lossy merge"
-            )
-        for index, bucket in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket
-        self.count += other.count
-        self.sum += other.sum
-        if other.max > self.max:
-            self.max = other.max
-
 
 class _NullInstrument:
     """Shared no-op stand-in handed out by disabled registries."""
@@ -206,9 +183,6 @@ class _NullInstrument:
     buckets: Tuple[float, ...] = ()
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:
@@ -228,9 +202,6 @@ class _NullInstrument:
 
     def quantile(self, q: float) -> float:
         return 0.0
-
-    def merge_counts(self, other: object) -> None:
-        pass
 
 
 NULL_INSTRUMENT = _NullInstrument()

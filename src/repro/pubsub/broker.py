@@ -8,7 +8,7 @@ it when the last subscriber leaves).  The examples use topics; the core
 protocol and the experiments work directly with group ids.
 """
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, Optional
 
 from repro.pubsub.membership import GroupMembership, MembershipError
 
@@ -55,11 +55,3 @@ class SubscriptionBroker:
             return self._group_to_topic[group_id]
         except KeyError:
             raise MembershipError(f"group {group_id} has no topic") from None
-
-    def topics(self) -> Dict[str, int]:
-        """Copy of the topic -> group mapping."""
-        return dict(self._topic_to_group)
-
-    def subscribers(self, topic: str) -> FrozenSet[int]:
-        """Current subscribers of a topic."""
-        return self.membership.members(self.group_for(topic))

@@ -148,10 +148,6 @@ class GroupMembership:
         """Whether the group exists."""
         return group_id in self._members
 
-    def group_count(self) -> int:
-        """Number of groups."""
-        return len(self._members)
-
     def __contains__(self, group_id: int) -> bool:
         return group_id in self._members
 

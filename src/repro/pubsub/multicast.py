@@ -43,12 +43,9 @@ class DeliveryTree:
             for u, v in zip(path, path[1:]):
                 self._tree_edges.add((u, v))
 
-    def delay_to(self, member: int) -> float:
-        """Root-to-member delay along the tree (== unicast shortest path)."""
-        return self._delay[member]
-
     def delays(self) -> Dict[int, float]:
-        """Copy of the per-member delay map."""
+        """Copy of the per-member delay map (each == the unicast shortest
+        path's delay)."""
         return dict(self._delay)
 
     @property

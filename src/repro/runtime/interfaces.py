@@ -164,7 +164,6 @@ class Transport(Protocol):
         """Cut ``side`` off from ``side_b`` (default: everything else)."""
         ...
 
-    def total_bytes_sent(self) -> int: ...
     def total_sends(self) -> int: ...
     def total_drops(self) -> int: ...
     def total_loss_drops(self) -> int: ...

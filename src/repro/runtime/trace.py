@@ -3,13 +3,12 @@
 The metrics layer (:mod:`repro.metrics`) computes latency stretch, RDP, and
 load figures from traces rather than by instrumenting protocol code, which
 keeps the protocol implementation uncluttered and lets baselines share the
-same analysis pipeline.  The observability layer (:mod:`repro.obs`) builds
-per-message lifecycle spans from the same records and can consume them live
-through subscribers; :mod:`repro.obs.forensics` goes further and rebuilds
-full per-message journeys and hold-back explanations from the
-flight-recorder kinds (``atom_seq``/``atom_pass``/``buffer``/``drain``/
-``retransmit``), which works identically on a live trace and on a JSONL
-export because every data value is a JSON primitive.
+same analysis pipeline.  The observability layer (:mod:`repro.obs`)
+consumes the same records live through subscribers, and
+:mod:`repro.obs.forensics` rebuilds per-message journeys and hold-back
+explanations from the flight-recorder kinds (``atom_seq``/``atom_pass``/
+``buffer``/``drain``/``retransmit``), which works identically on a live
+trace and on a JSONL export because every data value is a JSON primitive.
 
 The trace is backend-agnostic: record times come from whatever clock the
 runtime's node handle exposes, so the same analysis runs over a simulated
@@ -23,10 +22,10 @@ run and a live asyncio run.
 * *Records*, the per-kind index, and subscriber callbacks exist only while
   ``enabled`` is true.
 * Very hot call sites emitting high-volume kinds (e.g. the fabric's
-  per-hop ``seq_hop`` records) additionally guard on ``trace.enabled`` so
-  the disabled path skips even packing the values; counts for those kinds
-  are therefore only meaningful when tracing is on.
-* The protocol's eight kinds are declared once below, each as a
+  per-atom ``atom_seq``/``atom_pass`` records) additionally guard on
+  ``trace.enabled`` so the disabled path skips even packing the values;
+  counts for those kinds are therefore only meaningful when tracing is on.
+* The protocol's seven kinds are declared once below, each as a
   :class:`Shape` — its kind and its data keys in order — and recorded
   positionally against it: ``record(time, DELIVER, host, msg, ...)``.
   Any other kind is recorded with keywords, ``record(time, "suspect",
@@ -67,7 +66,6 @@ __all__ = [
     "DRAIN",
     "PROTOCOL_SHAPES",
     "PUBLISH",
-    "SEQ_HOP",
     "Shape",
     "Trace",
     "TraceRecord",
@@ -161,8 +159,6 @@ class Shape(str):
 # The protocol's records (:mod:`repro.core.protocol`), one per phase step.
 #: ingress: a message leaves its publisher
 PUBLISH = Shape("publish", ("msg", "group", "sender"))
-#: sequencing: a message arrives at a sequencing node
-SEQ_HOP = Shape("seq_hop", ("msg", "node", "atom"))
 #: sequencing: an atom forwarded the message without numbering it
 ATOM_PASS = Shape("atom_pass", ("msg", "node", "atom"))
 #: sequencing: an atom numbered the message (overlap ``seq``, ingress
@@ -180,7 +176,7 @@ BUFFER = Shape(
 #: a held-back message is released by the arrival that filled its gap
 DRAIN = Shape("drain", ("host", "msg", "group", "unblocked_by", "waited"))
 PROTOCOL_SHAPES = (
-    PUBLISH, SEQ_HOP, ATOM_PASS, ATOM_SEQ, DISTRIBUTE, DELIVER, BUFFER, DRAIN,
+    PUBLISH, ATOM_PASS, ATOM_SEQ, DISTRIBUTE, DELIVER, BUFFER, DRAIN,
 )
 
 

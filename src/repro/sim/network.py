@@ -173,7 +173,6 @@ class Network:
         "sends",
         "loss_drops",
         "outage_drops",
-        "bytes_sent",
         "receives",
     )
 
@@ -326,13 +325,6 @@ class Network:
         return set(self._retired_keys)
 
     # -- aggregates --------------------------------------------------------
-
-    def total_bytes_sent(self) -> int:
-        """Aggregate wire bytes across all channels (including retired)."""
-        return (
-            sum(c.bytes_sent for c in self._channels.values())
-            + self._retired_totals["bytes_sent"]
-        )
 
     def total_sends(self) -> int:
         """Aggregate packet transmissions across all channels."""

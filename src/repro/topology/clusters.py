@@ -14,7 +14,7 @@ a small distance-derived delay.
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.topology.gtitm import Topology
 
@@ -117,8 +117,3 @@ def attach_hosts(
             )
             next_host_id += 1
     return hosts
-
-
-def host_router_map(hosts: List[Host]) -> Dict[int, int]:
-    """Convenience map ``host_id -> router``."""
-    return {h.host_id: h.router for h in hosts}

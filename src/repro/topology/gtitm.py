@@ -76,11 +76,6 @@ class TransitStubParams:
             stub_size=10,
         )
 
-    def expected_nodes(self) -> int:
-        """Total router count this parameter set produces."""
-        transit = self.transit_domains * self.transit_nodes_per_domain
-        return transit * (1 + self.stubs_per_transit_node * self.stub_size)
-
 
 @dataclass
 class Topology:

@@ -19,8 +19,8 @@ Build traces from the scenario generators::
 and replay them::
 
     trace = WorkloadTrace.load("game.workload.json")
-    membership = trace.build_membership()
-    fabric = OrderingFabric(membership, hosts, topology, routing)
+    env = ExperimentEnv(n_hosts=trace.n_hosts())
+    fabric = env.build_fabric(env.membership_from(trace.membership))
     trace.replay(fabric)
 """
 
@@ -29,7 +29,6 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Union
 
-from repro.pubsub.membership import GroupMembership
 from repro.workloads.scenarios import PublishEvent
 
 PathLike = Union[str, pathlib.Path]
@@ -129,13 +128,6 @@ class WorkloadTrace:
         return cls.from_json(pathlib.Path(path).read_text())
 
     # -- replay ----------------------------------------------------------------
-
-    def build_membership(self) -> GroupMembership:
-        """Materialize the snapshot into a fresh membership matrix."""
-        membership = GroupMembership()
-        for group, members in sorted(self.membership.items()):
-            membership.create_group(members, group_id=group)
-        return membership
 
     def replay(
         self,

@@ -30,13 +30,6 @@ import random
 from typing import Dict, FrozenSet, List, Optional
 
 
-def harmonic_number(n: int, exponent: float = 1.0) -> float:
-    """Generalized harmonic number ``H_{n,exponent}``."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return sum(1.0 / (k**exponent) for k in range(1, n + 1))
-
-
 def zipf_group_sizes(
     n_hosts: int,
     n_groups: int,

@@ -205,12 +205,6 @@ def test_delivered_count():
     assert state.delivered_count == 3
 
 
-def test_subscribes_to():
-    state = DeliveryState(0, groups=[3], relevant_atoms=[])
-    assert state.subscribes_to(3)
-    assert not state.subscribes_to(4)
-
-
 def test_repr():
     state = DeliveryState(7, groups=[0], relevant_atoms=[])
     assert "host=7" in repr(state)

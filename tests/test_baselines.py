@@ -151,7 +151,17 @@ def test_vc_overhead_scales_with_group_size(env32):
     membership.create_group(range(4), group_id=0)
     membership.create_group(range(16), group_id=1)
     fabric = VectorClockFabric(membership, env32.hosts, env32.routing)
-    assert fabric.bytes_for_group(1) > fabric.bytes_for_group(0)
+
+    def wire_bytes_per_copy(group):
+        before = {key: c.bytes_sent for key, c in fabric.network.channels.items()}
+        fabric.publish(0, group)
+        sent = [
+            c.bytes_sent - before.get(key, 0)
+            for key, c in fabric.network.channels.items()
+        ]
+        return sum(sent) / sum(1 for n in sent if n)
+
+    assert wire_bytes_per_copy(1) > wire_bytes_per_copy(0)
 
 
 def test_vc_can_disagree_on_concurrent_cross_group_order(env32):

@@ -7,22 +7,27 @@ full ingress -> atoms -> receiver journey, and all output is
 byte-identical across two same-seed runs.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
 from repro.faults.campaign import ChaosConfig, execute_campaign
-from repro.obs.exporters import trace_to_jsonl
+from repro.experiments.common import ExperimentEnv
+from repro.obs.exporters import trace_from_jsonl, trace_to_jsonl
 from repro.obs.forensics import (
     CAUSE_IN_FLIGHT,
     CAUSE_LINK_FAILURE,
     CAUSE_PRIORITY,
     JourneyIndex,
     render_journey,
+    render_phases,
     render_stalls,
     waits_to_dot,
 )
+from repro.obs.live import LiveMonitor
+from repro.runtime.trace import Trace
 
 #: Same shape as the CLI's inline `repro explain` run: small topology,
 #: enough traffic to cross the fault window and force real hold-backs.
@@ -94,6 +99,117 @@ class TestJourneyReconstruction:
             assert breakdown["holdback"] == pytest.approx(event.waited)
 
 
+#: A membership crafted so group 0's sequencing path has exactly 3 atoms:
+#: group 0 double-overlaps each of groups 1/2/3 (two shared members apiece)
+#: and the satellite groups share nothing with each other, so the cluster
+#: chain is Q(0,1)-Q(0,2)-Q(0,3) in some order — all sequencing group 0.
+THREE_ATOM_SNAPSHOT = {
+    0: frozenset({0, 1, 2, 3, 4, 5}),
+    1: frozenset({0, 1}),
+    2: frozenset({2, 3}),
+    3: frozenset({4, 5}),
+}
+
+
+def three_atom_run(publishes=((0, 0),), trace=True):
+    env = ExperimentEnv(n_hosts=6, seed=0)
+    fabric = env.build_fabric(env.membership_from(THREE_ATOM_SNAPSHOT), trace=trace)
+    assert len(fabric.graph.group_path(0)) == 3
+    for sender, group in publishes:
+        fabric.publish(sender, group)
+    fabric.run()
+    assert not fabric.pending_messages()
+    return fabric
+
+
+@pytest.fixture(scope="module")
+def three_atom_index():
+    return JourneyIndex(three_atom_run().trace)
+
+
+@pytest.fixture(scope="module")
+def three_atom_journey(three_atom_index):
+    (journey,) = three_atom_index.journeys.values()
+    return journey
+
+
+class TestVisitsAndPhases:
+    def test_journey_covers_full_pipeline(self, three_atom_index, three_atom_journey):
+        journey = three_atom_journey
+        assert set(three_atom_index.journeys) == {0}
+        assert journey.group == 0 and journey.sender == 0
+        assert journey.distribute_time is not None
+        assert len(journey.atom_events) >= 3
+        assert set(journey.legs) == set(THREE_ATOM_SNAPSHOT[0])
+        assert all(leg.deliver_time is not None for leg in journey.legs.values())
+
+    def test_phases_are_the_three_pipeline_phases(self, three_atom_journey):
+        for host in three_atom_journey.legs:
+            phases = three_atom_journey.phases(host)
+            assert tuple(phases) == ("ingress", "sequencing", "distribution")
+
+    def test_phases_partition_publish_to_deliver(self, three_atom_journey):
+        journey = three_atom_journey
+        for host, leg in journey.legs.items():
+            phases = journey.phases(host)
+            assert all(latency >= 0 for latency in phases.values())
+            assert sum(phases.values()) == pytest.approx(
+                leg.deliver_time - journey.publish_time, abs=1e-9
+            )
+
+    def test_visits_tile_first_atom_to_distribution(self, three_atom_journey):
+        journey = three_atom_journey
+        visits = journey.visits()
+        # One visit per node on the path: 3 atoms on <= 3 machines.
+        assert 1 <= len(visits) <= 3
+        assert visits[0].start == journey.atom_events[0].time
+        assert visits[0].atom == journey.atom_events[0].atom
+        assert visits[-1].end == journey.distribute_time
+        for before, after in zip(visits, visits[1:]):
+            assert before.end == after.start and before.node != after.node
+        undistributed = dataclasses.replace(journey, distribute_time=None)
+        assert undistributed.visits()[-1].end == journey.atom_events[-1].time
+
+    def test_incomplete_journey_has_no_phase_split(self, three_atom_journey):
+        undistributed = dataclasses.replace(three_atom_journey, distribute_time=None)
+        for host in three_atom_journey.legs:
+            assert undistributed.phases(host) is None
+            assert undistributed.breakdown(host) is None
+        assert three_atom_journey.phases(99) is None
+
+    def test_phase_table_rows_are_group_means(self, three_atom_index, three_atom_journey):
+        journey = three_atom_journey
+        legs = len(journey.legs)
+        means = [
+            sum(journey.phases(host)[phase] for host in journey.legs) / legs
+            for phase in ("ingress", "sequencing", "distribution")
+        ]
+        _header, _rule, row = render_phases(three_atom_index).splitlines()
+        assert row.split() == ["0"] + [f"{m:.3f}" for m in means + [sum(means)]]
+
+    def test_phase_table_lists_each_group(self):
+        fabric = three_atom_run(((0, 0), (0, 1), (2, 2), (0, 0)))
+        header, _rule, *rows = render_phases(JourneyIndex(fabric.trace)).splitlines()
+        assert header.split() == [
+            "group", "ingress_ms", "sequencing_ms", "distribution_ms", "total_ms"
+        ]
+        assert [row.split()[0] for row in rows] == ["0", "1", "2"]
+
+    def test_disabled_trace_yields_no_journeys(self):
+        assert JourneyIndex(three_atom_run(trace=False).trace).journeys == {}
+
+    def test_messages_reconstruct_independently(self):
+        fabric = three_atom_run(((0, 0), (0, 1), (2, 2), (0, 0)))
+        journeys = JourneyIndex(fabric.trace).journeys
+        assert set(journeys) == {0, 1, 2, 3}
+        for journey in journeys.values():
+            assert journey.visits()
+            for host, leg in journey.legs.items():
+                assert sum(journey.phases(host).values()) == pytest.approx(
+                    leg.deliver_time - journey.publish_time, abs=1e-9
+                )
+
+
 class TestStallAttribution:
     def test_every_buffer_event_has_blocking_pair_and_cause(self, index):
         assert index.buffer_events
@@ -146,6 +262,29 @@ class TestStallAttribution:
         assert json.loads(json.dumps(report)) == report
 
 
+def test_live_monitor_and_journeys_give_one_verdict():
+    """An undrained gap with both a loss retransmit and an abandoned
+    packet in its window: the predecessor is gone for good, and both
+    readers say so."""
+    trace = Trace()
+    trace.record(0.0, "publish", msg=0, group=0, sender=0)
+    trace.record(
+        1.0, "buffer", host=3, msg=1, group=0, blocked_kind="group",
+        blocked_on="group:0", have_seq=1, expected_seq=0,
+    )
+    trace.record(5.0, "retransmit", src="('seq', 2)", dst="('host', 3)", cause="loss")
+    trace.record(20.0, "link_failure", src="('seq', 2)", dst="('host', 3)", attempts=8)
+    trace.record(60.0, "publish", msg=2, group=0, sender=0)
+    monitor = LiveMonitor()
+    for record in trace:
+        monitor.observe(record)
+    (alert,) = monitor.alerts
+    assert alert.rule == "LM303"
+    assert alert.evidence == {"loss": 1, CAUSE_LINK_FAILURE: 1}
+    (event,) = JourneyIndex(trace).buffer_events
+    assert alert.cause == event.cause == CAUSE_LINK_FAILURE
+
+
 class TestHoldbackHistory:
     def test_history_matches_buffer_and_drain_counts(self, index):
         for event in index.buffer_events:
@@ -192,7 +331,9 @@ class TestWaitGraph:
 
 class TestRoundTripAndDeterminism:
     def test_jsonl_rebuild_is_identical(self, chaos_run, index):
-        rebuilt = JourneyIndex.from_jsonl(trace_to_jsonl(chaos_run.fabric.trace))
+        rebuilt = JourneyIndex(
+            trace_from_jsonl(trace_to_jsonl(chaos_run.fabric.trace))
+        )
         live = json.dumps(index.stall_report(0.0), sort_keys=True)
         disk = json.dumps(rebuilt.stall_report(0.0), sort_keys=True)
         assert live == disk

@@ -3,8 +3,6 @@
 import pytest
 
 from repro import OrderedPubSub
-from repro.metrics.stats import mean_confidence_interval
-from repro.metrics.stretch import delivery_latencies
 from repro.pubsub.membership import GroupMembership
 from repro.runtime.errors import SimulationError
 
@@ -101,43 +99,3 @@ def test_on_deliver_can_be_attached_late():
     bus.publish(1, group, "late")
     bus.run()
     assert seen == ["late", "late"]
-
-
-# ---------------------------------------------------------------------------
-# Metric helpers
-# ---------------------------------------------------------------------------
-
-
-def test_delivery_latencies(env32):
-    fabric = env32.build_fabric(pair_membership())
-    fabric.publish(0, 0)
-    fabric.run()
-    latencies = delivery_latencies(fabric)
-    assert len(latencies) == 4
-    assert all(v > 0 for v in latencies)
-
-
-def test_mean_confidence_interval_basic():
-    mean, low, high = mean_confidence_interval([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert mean == 3.0
-    assert low < mean < high
-
-
-def test_mean_confidence_interval_single_point():
-    assert mean_confidence_interval([7.0]) == (7.0, 7.0, 7.0)
-
-
-def test_mean_confidence_interval_constant_sample():
-    assert mean_confidence_interval([2.0, 2.0, 2.0]) == (2.0, 2.0, 2.0)
-
-
-def test_mean_confidence_interval_empty_rejected():
-    with pytest.raises(ValueError):
-        mean_confidence_interval([])
-
-
-def test_mean_confidence_interval_widens_with_confidence():
-    sample = [1.0, 5.0, 3.0, 4.0, 2.0]
-    _, low95, high95 = mean_confidence_interval(sample, 0.95)
-    _, low99, high99 = mean_confidence_interval(sample, 0.99)
-    assert low99 < low95 and high99 > high95

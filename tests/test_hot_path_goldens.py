@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: every kind the fabric and its processes record
 TRACE_KINDS = (
-    "publish", "deliver", "distribute", "seq_hop", "atom_seq", "atom_pass",
+    "publish", "deliver", "distribute", "atom_seq", "atom_pass",
     "buffer", "drain", "retransmit", "link_failure", "failover", "epoch_fence",
 )
 

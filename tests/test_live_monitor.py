@@ -13,7 +13,6 @@ from repro.obs.live import (
     MONITOR_RULES,
     LiveMonitor,
     TelemetrySnapshot,
-    merge_snapshots,
 )
 from repro.runtime.trace import TraceRecord
 
@@ -315,16 +314,3 @@ class TestTelemetrySnapshot:
         payload["format"] = "bogus/9"
         with pytest.raises(ValueError):
             TelemetrySnapshot.from_dict(payload)
-
-    def test_merge_adds_counts_and_preserves_quantiles(self):
-        a = self._snapshot()
-        b = self._snapshot()
-        merged = merge_snapshots([a, b])
-        assert merged.delivered == a.delivered + b.delivered
-        assert merged.published == a.published + b.published
-        single = a.phase_summaries()["delivery"]
-        combined = merged.phase_summaries()["delivery"]
-        assert combined["count"] == 2 * single["count"]
-        # Identical inputs: merged quantiles equal the single-node ones.
-        assert combined["p99"] == pytest.approx(single["p99"])
-        assert combined["max"] == single["max"]

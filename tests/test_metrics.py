@@ -4,20 +4,14 @@ import random
 
 import pytest
 
+from repro.core.messages import ATOM_ENTRY_BYTES, HEADER_BYTES, vector_timestamp_bytes
 from repro.core.sequencing_graph import SequencingGraph
-from repro.metrics.overhead import (
-    overhead_ratio_vs_vector,
-    stamp_overhead_bytes,
-    worst_case_stamp_entries,
-)
-from repro.metrics.stats import cdf, cdf_at, percentile, summarize
+from repro.metrics.overhead import stamp_overhead_bytes
+from repro.metrics.stats import cdf, percentile, summarize
 from repro.metrics.stress import (
     atoms_on_path_ratios,
     double_overlap_count,
-    max_receiver_group_load,
-    node_group_loads,
     node_stress,
-    path_lengths,
     sequencing_node_count,
 )
 from repro.metrics.stretch import latency_stretch_by_destination, rdp_by_pair
@@ -45,11 +39,6 @@ def test_cdf_points():
 
 def test_cdf_empty():
     assert cdf([]) == []
-
-
-def test_cdf_at_thresholds():
-    fractions = cdf_at([1, 2, 3, 4], [0, 2, 5])
-    assert fractions == [0.0, 0.5, 1.0]
 
 
 def test_summarize_fields():
@@ -98,13 +87,6 @@ def test_atoms_on_path_rejects_zero_hosts():
         atoms_on_path_ratios(triangle_graph(), 0)
 
 
-def test_path_lengths():
-    graph = triangle_graph()
-    lengths = path_lengths(graph)
-    assert set(lengths) == {0, 1, 2}
-    assert max(lengths.values()) == 3  # the group spanning the whole chain
-
-
 def test_node_stress_and_counts(env32):
     import random as _random
 
@@ -116,8 +98,6 @@ def test_node_stress_and_counts(env32):
     stresses = node_stress(graph, placement)
     assert len(stresses) == sequencing_node_count(placement)
     assert all(0 < s <= 1 for s in stresses)
-    loads = node_group_loads(graph, placement)
-    assert all(l >= 1 for l in loads)
 
 
 def test_node_stress_empty_graph():
@@ -126,15 +106,6 @@ def test_node_stress_empty_graph():
 
     placement = Placement(co_locate_atoms(graph))
     assert node_stress(graph, placement) == []
-
-
-def test_max_receiver_group_load():
-    membership = GroupMembership()
-    membership.create_group([0, 1, 2])
-    membership.create_group([0, 1])
-    membership.create_group([0, 3])
-    assert max_receiver_group_load(membership) == 3
-    assert max_receiver_group_load(GroupMembership()) == 0
 
 
 def test_scalability_bound_nodes_vs_receivers(env32):
@@ -153,9 +124,12 @@ def test_scalability_bound_nodes_vs_receivers(env32):
         membership = env32.membership_from(snapshot)
         graph = env32.build_graph(snapshot, seed=seed)
         placement = env32.build_placement(graph, seed=seed, machines=False)
-        loads = node_group_loads(graph, placement)
+        # Groups each node forwards, and the most groups one member joins.
+        groups = len(graph.groups())
+        loads = [round(s * groups) for s in node_stress(graph, placement)]
+        receiver_load = max(len(membership.groups_of(n)) for n in membership.nodes())
         if loads:
-            assert max(loads) <= 2 * max_receiver_group_load(membership)
+            assert max(loads) <= 2 * receiver_load
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +145,14 @@ def test_stamp_overhead_by_group():
 
 
 def test_worst_case_entries():
-    assert worst_case_stamp_entries(triangle_graph()) == 2
-    assert worst_case_stamp_entries(SequencingGraph()) == 0
+    worst = max(stamp_overhead_bytes(triangle_graph()).values())
+    assert worst == HEADER_BYTES + 2 * ATOM_ENTRY_BYTES
+    assert stamp_overhead_bytes(SequencingGraph()) == {}
 
 
 def test_overhead_ratio_beats_vector_with_many_nodes():
-    graph = triangle_graph()
-    assert overhead_ratio_vs_vector(graph, n_nodes=128) < 1.0
+    worst = max(stamp_overhead_bytes(triangle_graph()).values())
+    assert worst < vector_timestamp_bytes(128)
 
 
 # ---------------------------------------------------------------------------

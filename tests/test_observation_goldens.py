@@ -19,7 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.faults.campaign import ChaosConfig, execute_campaign
 from repro.obs.exporters import trace_from_jsonl, trace_to_jsonl
+from repro.obs.forensics import JourneyIndex
 from repro.obs.live.top import read_trace_jsonl
 from repro.runtime.trace import Trace, TraceRecord
 
@@ -42,9 +44,10 @@ def test_traced_run_exports_unchanged(tmp_path, capsys):
         "--out", str(jsonl), "--chrome", str(chrome),
     ]) == 0
     capsys.readouterr()
+    # The parent's export with its 83 ``seq_hop`` lines removed.
     assert (
         sha256(jsonl)
-        == "a52b3650f34ddcea68b27ccadb87ea43291381c7f40d83dfc30a3612d466d800"
+        == "ead4c4232c1383ba1d1e6ec42858e788e75cdb4a9d4bcb6907046d2a51dfca92"
     )
     assert (
         sha256(chrome)
@@ -59,6 +62,47 @@ def test_traced_run_exports_unchanged(tmp_path, capsys):
     records = read_trace_jsonl(str(jsonl))
     assert records == trace_from_jsonl(jsonl.read_text())
     assert trace_to_jsonl(records) + "\n" == jsonl.read_text()
+
+
+def test_trace_run_tables_unchanged(capsys):
+    """``trace run``'s per-group phase table (read from journeys) and its
+    percentile table, recorded when the phase table was read from
+    ``seq_hop`` records; only the header's record count moved, by the 83
+    ``seq_hop`` records the run no longer writes."""
+    assert cli.main(
+        ["trace", "run", "--hosts", "24", "--groups", "6", "--events", "40"]
+    ) == 0
+    head, tables = capsys.readouterr().out.split("\n", 1)
+    assert head.endswith("358 events, 580 trace records")
+    assert "0           16.591      4.685          19.251           40.526" in tables
+    assert (
+        hashlib.sha256(tables.encode()).hexdigest()
+        == "09dead1aabaa528ca684965197991290758d5fb4cc6b2f3d762dde31bc21f9fc"
+    )
+
+
+def visits_sha256(records) -> str:
+    """sha256 over every journey's sequencing-node visits as sorted
+    ``[start, node, entry atom]`` rows: what the ``seq_hop`` records of the
+    same run held as ``[time, node, atom]``."""
+    rows = sorted(
+        (visit.start, visit.node, visit.atom)
+        for journey in JourneyIndex(records).journeys.values()
+        for visit in journey.visits()
+    )
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(json.dumps(list(row)).encode())
+    return digest.hexdigest()
+
+
+def test_chaos_visits_equal_the_seq_hop_records_they_replace():
+    """Loss, crashes and failover: the visits derived from atom records
+    hash as the 167 ``seq_hop`` records of the same campaign did."""
+    run = execute_campaign(ChaosConfig(hosts=24, groups=8, events=80, seed=7))
+    assert visits_sha256(run.fabric.trace) == (
+        "5ec927044cf826662669bd8bf9677c5f525367535bd227e3f6bbb8ac6e3f058f"
+    )
 
 
 def test_chaos_live_monitor_report_bytes_unchanged(tmp_path, capsys):
@@ -98,6 +142,7 @@ def test_dup_delivery_mutation_verdict_unchanged(tmp_path, capsys):
 _SIM_OBSERVED = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
+from tests.test_observation_goldens import visits_sha256
 import workloads
 spec = next(s for s in workloads.SIM_SPECS if s.name == "sim_observed")
 bed = workloads.SimBed(spec)
@@ -115,28 +160,32 @@ print(json.dumps({
     "records": len(bed.fabric.trace), "counts": counts,
     "sha256": digest.hexdigest(), "alerts": len(bed.monitor.alerts),
     "window": sum(map(len, bed.monitor._order_window.values())),
+    "visits": visits_sha256(bed.fabric.trace),
 }))
 """
 
 
 def test_sim_observed_trace_records_unchanged():
     """The benchmark's observed workload, seed 0: every record of the run
-    (in a child process: ``bench/`` is not a package)."""
+    (in a child process: ``bench/`` is not a package).  The digest is the
+    one the run had with its 26 488 ``seq_hop`` records skipped, and the
+    visits derived in their place hash as those records did."""
     done = subprocess.run(
         [sys.executable, "-c", _SIM_OBSERVED, str(ROOT / "bench")],
         capture_output=True, text=True, cwd=str(ROOT), timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.strip().splitlines()[-1]) == {
-        "records": 263532,
+        "records": 237044,
         "counts": {
-            "publish": 4390, "seq_hop": 26488, "atom_seq": 29922,
+            "publish": 4390, "atom_seq": 29922,
             "atom_pass": 121454, "distribute": 4390, "deliver": 63640,
             "buffer": 6624, "drain": 6624,
         },
-        "sha256": "3a746fe9ebe471e4aaa4dddfe11015b9108ec16d98cc51d89adf67fecd9d6fef",
+        "sha256": "f75b86765efe259689198604782f796ca0a9be3eef50df56c759dddf69ca9149",
         "alerts": 0,
         "window": 0,
+        "visits": "64039480403ef72cd2459887d598dd929842c57e7ebaa8646286128041f83739",
     }
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.overlaps import (
-    double_overlaps,
-    groups_with_overlaps,
-    overlap_clusters,
-    overlap_count_by_group,
-)
+from repro.core.overlaps import double_overlaps, overlap_clusters
 
 
 def snap(**groups):
@@ -108,17 +103,3 @@ def test_clusters_deterministic_order():
 
 def test_clusters_empty():
     assert overlap_clusters([]) == []
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
-
-
-def test_groups_with_overlaps():
-    assert groups_with_overlaps([(0, 1), (1, 2)]) == {0, 1, 2}
-
-
-def test_overlap_count_by_group():
-    counts = overlap_count_by_group([(0, 1), (0, 2), (1, 2)])
-    assert counts == {0: 2, 1: 2, 2: 2}

@@ -13,6 +13,7 @@ from repro.experiments.common import ExperimentEnv
 from repro.metrics.stretch import latency_stretch_by_destination
 from repro.topology.gtitm import TransitStubParams
 from repro.workloads.zipf import zipf_membership
+from tests.test_topology import expected_nodes
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def paper_env():
 
 def test_paper_scale_topology_size(paper_env):
     params = TransitStubParams.paper_scale()
-    assert paper_env.topology.n_nodes == params.expected_nodes()
+    assert paper_env.topology.n_nodes == expected_nodes(params)
     assert paper_env.topology.n_nodes >= 10_000
 
 

@@ -17,8 +17,12 @@ from repro.core.placement import (
 )
 from repro.core.reconfigure import reconfigure
 from repro.core.sequencing_graph import SequencingGraph
-from repro.topology.clusters import attach_hosts, host_router_map
+from repro.topology.clusters import attach_hosts
 from tests.conftest import golden_snapshot
+
+
+def routers_of(hosts):
+    return {h.host_id: h.router for h in hosts}
 
 
 def build(snapshot, **kwargs):
@@ -128,7 +132,7 @@ def placed(small_topology, routing):
     }
     graph = build(snapshot)
     placement = place(
-        graph, host_router_map(hosts), small_topology, routing, rng=random.Random(1)
+        graph, routers_of(hosts), small_topology, routing, rng=random.Random(1)
     )
     return graph, placement, hosts
 
@@ -141,15 +145,8 @@ def test_all_nodes_get_machines(placed):
 def test_machine_of_atom(placed):
     graph, placement, _hosts = placed
     for atom in graph.atoms:
-        machine = placement.machine_of(atom)
-        assert 0 <= machine
-
-
-def test_machine_of_unassigned_rejected():
-    graph = build(TRIANGLE)
-    placement = Placement(co_locate_atoms(graph))
-    with pytest.raises(ValueError):
-        placement.machine_of(graph.overlap_atoms()[0])
+        machine = placement.node_of(atom).machine
+        assert machine is not None and 0 <= machine
 
 
 def test_machines_near_subscribers(placed, small_topology, routing):
@@ -157,7 +154,7 @@ def test_machines_near_subscribers(placed, small_topology, routing):
     # some subscriber of a group it serves (seeded at members, walked to
     # neighbors).
     graph, placement, hosts = placed
-    router_of = {h.host_id: h.router for h in hosts}
+    router_of = routers_of(hosts)
     diameter = max(
         routing.delay(hosts[0].router, h.router) for h in hosts
     )
@@ -178,7 +175,7 @@ def test_placement_deterministic(small_topology, routing):
     for _ in range(2):
         graph = build(snapshot, rng=random.Random(9))
         placement = place(
-            graph, host_router_map(hosts), small_topology, routing, rng=random.Random(9)
+            graph, routers_of(hosts), small_topology, routing, rng=random.Random(9)
         )
         machines.append([n.machine for n in placement.nodes])
     assert machines[0] == machines[1]
@@ -214,7 +211,7 @@ def test_assign_machines_with_prebuilt_nodes(small_topology, routing):
     graph = build({0: {0, 1, 2}, 1: {1, 2, 3}})
     nodes = co_locate_atoms(graph)
     placement = assign_machines(
-        nodes, graph, host_router_map(hosts), small_topology, routing
+        nodes, graph, routers_of(hosts), small_topology, routing
     )
     assert all(n.machine is not None for n in placement.nodes)
 

@@ -152,7 +152,7 @@ def test_a_record_retains_its_values_and_slots_only(shape, row):
 
 def test_the_protocol_records_against_its_declared_shapes(monkeypatch):
     """A traced burst (hold-back 82 deep, so every kind shows up) stores
-    each of the protocol's eight kinds under its declared shape, and none
+    each of the protocol's seven kinds under its declared shape, and none
     of them went through the keyword spelling."""
     keyword_shapes: dict = {}
     monkeypatch.setattr(trace_module, "_LAST", keyword_shapes)

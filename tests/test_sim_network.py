@@ -167,7 +167,6 @@ def test_network_aggregate_counters():
     net.connect("b", "a", 1.0).send("y", size_bytes=5)
     sim.run()
     assert net.total_sends() == 2
-    assert net.total_bytes_sent() == 15
 
 
 def test_channel_repr():
@@ -264,8 +263,7 @@ def test_contract_retirement_keeps_totals_monotonic(backend):
     net.partition(frozenset({"c"}), LONG)
     net.connect("c", "a", 1.0).send("z", size_bytes=7)
     backend.run()
-    totals = ("total_sends", "total_bytes_sent", "total_drops",
-              "total_loss_drops", "total_outage_drops")
+    totals = ("total_sends", "total_drops", "total_loss_drops", "total_outage_drops")
     before = {name: getattr(net, name)() for name in totals}
     assert before["total_sends"] == 3 and before["total_outage_drops"] == 1
     assert net.retire_channels("a") == 3
@@ -275,7 +273,7 @@ def test_contract_retirement_keeps_totals_monotonic(backend):
     # Reconnecting an edge un-retires it; new traffic adds to the totals.
     net.connect("a", "b", 4.0).send("w", size_bytes=1)
     assert net.retired_edges == {("b", "a"), ("c", "a")}
-    assert net.total_sends() == 4 and net.total_bytes_sent() == 23
+    assert net.total_sends() == 4
 
 
 def test_contract_packets_on_a_retired_channel_still_deliver(backend):

@@ -6,7 +6,7 @@ import random
 import networkx as nx
 import pytest
 
-from repro.topology.clusters import attach_hosts, host_router_map
+from repro.topology.clusters import attach_hosts
 from repro.topology.gtitm import TransitStubParams, generate_transit_stub
 from repro.topology.routing import RoutingTable
 
@@ -15,15 +15,22 @@ from repro.topology.routing import RoutingTable
 # ---------------------------------------------------------------------------
 
 
+def expected_nodes(params):
+    """Routers a transit-stub parameter set yields: each transit router
+    plus its stub domains."""
+    transit = params.transit_domains * params.transit_nodes_per_domain
+    return transit * (1 + params.stubs_per_transit_node * params.stub_size)
+
+
 def test_expected_node_count():
     params = TransitStubParams.small()
     topology = generate_transit_stub(params, seed=0)
-    assert topology.n_nodes == params.expected_nodes()
+    assert topology.n_nodes == expected_nodes(params)
 
 
 def test_paper_scale_is_ten_thousand():
     params = TransitStubParams.paper_scale()
-    assert 9_500 <= params.expected_nodes() <= 10_500
+    assert 9_500 <= expected_nodes(params) <= 10_500
 
 
 def test_determinism_same_seed():
@@ -210,13 +217,6 @@ def test_attach_hosts_deterministic(small_topology):
     a = attach_hosts(small_topology, 16, rng=random.Random(7))
     b = attach_hosts(small_topology, 16, rng=random.Random(7))
     assert a == b
-
-
-def test_host_router_map(small_topology):
-    hosts = attach_hosts(small_topology, 8, rng=random.Random(0))
-    mapping = host_router_map(hosts)
-    assert mapping[hosts[3].host_id] == hosts[3].router
-    assert len(mapping) == 8
 
 
 def test_access_delay_positive(small_topology):

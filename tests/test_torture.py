@@ -68,7 +68,7 @@ def test_loss_crash_queueing_churn(env32, seed):
         next_membership = copy_membership(fabric.membership)
         victims = [g for g in next_membership.groups() if rng.random() < 0.3]
         for group in victims:
-            if next_membership.group_count() > 2:
+            if len(next_membership.groups()) > 2:
                 next_membership.remove_group(group)
         next_membership.create_group(
             rng.sample(range(n_hosts), rng.randint(3, 10))

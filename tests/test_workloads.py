@@ -10,22 +10,11 @@ from repro.workloads.scenarios import (
     MessagingScenario,
     StockTickerScenario,
 )
-from repro.workloads.zipf import harmonic_number, zipf_group_sizes, zipf_membership
+from repro.workloads.zipf import zipf_group_sizes, zipf_membership
 
 # ---------------------------------------------------------------------------
 # Zipf
 # ---------------------------------------------------------------------------
-
-
-def test_harmonic_number_values():
-    assert harmonic_number(1) == 1.0
-    assert harmonic_number(2) == pytest.approx(1.5)
-    assert harmonic_number(4) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25)
-
-
-def test_harmonic_number_rejects_zero():
-    with pytest.raises(ValueError):
-        harmonic_number(0)
 
 
 def test_zipf_sizes_monotone_decreasing():
