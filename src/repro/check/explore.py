@@ -573,14 +573,15 @@ def _mutate_skip_stamp(fabric: Any) -> None:
 
 
 def _mutate_drop_delivery(fabric: Any) -> None:
-    """The first distribution packet is silently discarded."""
-    from repro.core.protocol import DeliverPacket
+    """The first distribution packet (a message header) is silently
+    discarded."""
+    from repro.core.delivery_log import MessageHeader
 
     original = fabric._transmit
     state = {"armed": True}
 
     def patched(src, dst, packet, _original=original, _state=state):
-        if _state["armed"] and isinstance(packet, DeliverPacket):
+        if _state["armed"] and isinstance(packet, MessageHeader):
             _state["armed"] = False
             return
         _original(src, dst, packet)

@@ -38,8 +38,9 @@ from repro.core.messages import Stamp
 class MessageHeader:
     """The facts of one sequenced message that do not depend on the member.
 
-    Built once at distribution; every member's packet, hold-back entry and
-    delivery-log row refers to the one instance.
+    Built once at distribution and sent as is to every member: each
+    member's packet, hold-back entry and delivery-log row is the one
+    instance.
     """
 
     __slots__ = ("stamp", "payload", "msg_id", "sender", "publish_time")
@@ -55,6 +56,10 @@ class MessageHeader:
         """The destination group (with ``msg_id`` and ``sender`` what the
         run audit reads of a delivery besides its time)."""
         return self.stamp.group
+
+    def size_bytes(self) -> int:
+        """Wire size as a distribution packet: the stamp."""
+        return self.stamp.size_bytes()
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # Frozen and slotted: the default reconstruction assigns the slots

@@ -108,7 +108,9 @@ def retransmit_jitter_fraction(seq: int, attempts: int) -> float:
 #
 # One packet object exists per hop of every message, so the packet classes
 # declare ``__slots__``.  (``dataclass(slots=True)`` needs Python 3.10; the
-# package supports 3.9.)
+# package supports 3.9.)  The distribution phase has no packet class: every
+# member is sent the message's one shared
+# :class:`~repro.core.delivery_log.MessageHeader`.
 
 
 @dataclass
@@ -123,53 +125,6 @@ class DataPacket:
 
     def size_bytes(self) -> int:
         return HEADER_BYTES + ATOM_ENTRY_BYTES * len(self.message.atoms)
-
-
-@dataclass(init=False)
-class DeliverPacket:
-    """A fully sequenced message in the distribution phase."""
-
-    # ``header`` is not a field: it is the one object holding the first
-    # five, shared by every member's packet of the message.
-    __slots__ = (
-        "stamp", "payload", "msg_id", "sender", "publish_time", "dest",
-        "egress_node", "header",
-    )
-
-    stamp: Stamp
-    payload: Any
-    msg_id: int
-    sender: int
-    publish_time: float
-    dest: int
-    #: sequencing node that distributed the message (stability ack target)
-    egress_node: int
-
-    def __init__(
-        self,
-        stamp: Stamp,
-        payload: Any,
-        msg_id: int,
-        sender: int,
-        publish_time: float,
-        dest: int,
-        egress_node: int = -1,
-    ):
-        # Written out because a slot cannot also hold the class-level
-        # default a generated ``__init__`` would read.
-        self.stamp = stamp
-        self.payload = payload
-        self.msg_id = msg_id
-        self.sender = sender
-        self.publish_time = publish_time
-        self.dest = dest
-        self.egress_node = egress_node
-        #: set by the fabric's distribution phase; a packet built any other
-        #: way gets one at the receiver
-        self.header: Optional[MessageHeader] = None
-
-    def size_bytes(self) -> int:
-        return self.stamp.size_bytes()
 
 
 @dataclass
@@ -335,7 +290,6 @@ class HostProcess(Process):
         self.delivered = DeliveryLog()
         #: messages known stable (delivered by every group member)
         self.stable_ids: Set[int] = set()
-        self._egress_of: Dict[int, int] = {}
         self._crashed_until = 0.0
         self.crashes = 0
 
@@ -373,7 +327,7 @@ class HostProcess(Process):
             self.handle(packet)
 
     def handle(self, payload: Any) -> None:
-        if not isinstance(payload, DeliverPacket):
+        if not isinstance(payload, MessageHeader):
             if isinstance(payload, StableNotice):
                 self.stable_ids.add(payload.msg_id)
                 return
@@ -382,30 +336,18 @@ class HostProcess(Process):
         now = self.sim.now
         host_id = self.host.host_id
         track_stability = fabric.track_stability
-        if track_stability:
-            self._egress_of[payload.msg_id] = payload.egress_node
-        arrived = payload.header
-        if arrived is None:
-            arrived = MessageHeader(
-                payload.stamp,
-                payload.payload,
-                payload.msg_id,
-                payload.sender,
-                payload.publish_time,
-            )
-        # What waits in the hold-back is the shared header; on_receive
-        # returns (stamp, header) pairs in delivery order, and a record is
-        # built only for a reader of this one delivery.
-        released = self.delivery.on_receive(arrived.stamp, arrived)
+        # What arrives, and waits in the hold-back, is the message's shared
+        # header; on_receive returns (stamp, header) pairs in delivery
+        # order, and a record is built only for a reader of this delivery.
+        released = self.delivery.on_receive(payload.stamp, payload)
         if not released and fabric.trace.enabled:
-            self._record_buffer(arrived)
+            self._record_buffer(payload)
         for stamp, header in released:
             msg_id = header.msg_id
             if isinstance(header.payload, EpochFence):
                 # Epoch fences advance the hold-back expectations like any
                 # sequenced message but are consumed by the fabric: they
                 # never reach the application log or stability tracking.
-                self._egress_of.pop(msg_id, None)
                 fabric._fence_delivered(host_id, header.payload, msg_id)
                 continue
             self.delivered.add(now, header)
@@ -429,13 +371,11 @@ class HostProcess(Process):
                     ),
                 )
             if track_stability:
-                egress = self._egress_of.pop(msg_id, -1)
-                if egress >= 0:
-                    fabric._transmit(
-                        self,
-                        fabric.node_processes[egress],
-                        StabilityAck(msg_id, host_id),
-                    )
+                fabric._transmit(
+                    self,
+                    fabric._egress_of(stamp.group),
+                    StabilityAck(msg_id, host_id),
+                )
 
     def _record_buffer(self, header: MessageHeader) -> None:
         """Trace a deliver-or-buffer decision that buffered the arrival.
@@ -824,6 +764,7 @@ class OrderingFabric:
         # Per-group facts of the epoch's (frozen) sequencing graph, looked
         # up on every publish and every distribution; filled on first use.
         self._ingress: Dict[int, Tuple[int, SequencingNodeProcess]] = {}
+        self._egress: Dict[int, SequencingNodeProcess] = {}
         self._members: Dict[int, Tuple[int, ...]] = {}
 
         self._next_msg_id = 0
@@ -1183,6 +1124,16 @@ class OrderingFabric:
             route = self._ingress[group] = (ingress, self._host_of_atom[ingress])
         return route
 
+    def _egress_of(self, group: int) -> SequencingNodeProcess:
+        """The process of the node hosting the group's last path atom: the
+        one that distributes the group's messages and collects their
+        stability acks (``relocate_node`` moves it, keeping the process)."""
+        node = self._egress.get(group)
+        if node is None:
+            last = self.graph.group_path(group)[-1].number
+            node = self._egress[group] = self._host_of_atom[last]
+        return node
+
     def _members_of(self, group: int) -> Tuple[int, ...]:
         """The epoch's members of ``group``, sorted (distribution order)."""
         members = self._members.get(group)
@@ -1291,23 +1242,19 @@ class OrderingFabric:
             )
         if self.track_stability and not isinstance(message.payload, EpochFence):
             src.expect_stability_acks(message.msg_id, members)
-        payload = message.payload
-        msg_id = message.msg_id
-        sender = message.sender
-        publish_time = message.publish_time
-        # One header per message: what the members' hold-backs and
-        # delivery logs keep of it is a reference to this object.
-        header = MessageHeader(stamp, payload, msg_id, sender, publish_time)
-        egress = src.node_id
+        # One header per message, and it is what every member is sent: the
+        # destination is the channel's, and the stability ack target is
+        # the group's egress node (see _egress_of).  What the members'
+        # hold-backs and delivery logs keep is a reference to this object.
+        header = MessageHeader(
+            stamp, message.payload, message.msg_id, message.sender,
+            message.publish_time,
+        )
         hosts = self.host_processes
         for member in members:
-            packet = DeliverPacket(
-                stamp, payload, msg_id, sender, publish_time, member, egress
-            )
-            packet.header = header
             # _transmit is looked up per packet: the checker's mutation
             # harness patches it on the instance.
-            self._transmit(src, hosts[member], packet)
+            self._transmit(src, hosts[member], header)
         self._account_distribution(src, message.group, stamp.size_bytes())
 
     def _account_distribution(

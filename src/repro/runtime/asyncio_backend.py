@@ -14,8 +14,9 @@ Design notes
   ``heap_high_water`` exactly like
   :class:`~repro.sim.events.Simulator`.  The network is the one
   :class:`~repro.sim.network.Network`, built over this scheduler: a
-  surviving packet goes on the scheduler's heap, so the protocol core,
-  the metrics hooks, and the failover machinery run unmodified.
+  surviving packet goes on the scheduler's heap, or behind the one its
+  channel has in flight, so the protocol core, the metrics hooks, and the
+  failover machinery run unmodified.
 
 * **One heap, one armed loop timer, direct dispatch.**  The scheduler
   keeps its own ``(deadline, seq, handle)`` heap (the
@@ -27,11 +28,17 @@ Design notes
   gets a turn between batches.  A head due in less than
   :data:`SELECT_GRANULARITY` is polled (``call_soon``), not slept on.
 
-* **FIFO is structural: it is heap order.**  A channel's arrival times
-  never decrease (``max(now + delay, last arrival)``) and ``seq`` grows
-  with every push, so two packets of one channel leave the heap in send
-  order whatever the wall clock does — the FIFO channel assumption the
-  sequencing proof depends on (paper §3.1) needs no per-channel queue.
+* **FIFO is heap order, plus the channel's backlog.**  A channel's
+  arrival times never decrease (``max(now + delay, last arrival)``) and
+  are its deadlines; ``seq`` is handed out at send time.  Only a channel's
+  head packet is on the heap: one sent behind it takes its key now
+  (:meth:`AsyncioScheduler.reserve`) and waits in the channel's backlog
+  until the head fires, which pushes it under that key
+  (:meth:`AsyncioScheduler.push_reserved`).  Its ``seq`` is older than
+  the firing batch's fence, so a due successor still fires in the same
+  batch, as it did when every packet sat on the heap.  Two packets of
+  one channel leave in send order whatever the wall clock does — the
+  FIFO channel assumption the sequencing proof depends on (paper §3.1).
 
 * **Documented divergences from the simulator.**  ``schedule_at``
   accepts a deadline the clock has already passed (the live clock
@@ -152,6 +159,25 @@ class AsyncioScheduler:
         if self._armed is None or deadline < self._armed_for:
             self._arm()
         return handle
+
+    def reserve(self, time: float) -> Tuple[float, int]:
+        """Fix the ``(deadline, seq)`` key ``schedule_at(time)`` would use
+        now, and count the timer live, without queuing it."""
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        if self._live > self.heap_high_water:
+            self.heap_high_water = self._live
+        return time, seq
+
+    def push_reserved(
+        self, deadline: float, seq: int, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Queue a reserved timer under its key.  No clamp: a channel's
+        deadlines are its arrival times, which never decrease."""
+        heappush(self._heap, (deadline, seq, _TimerHandle(self, callback, args)))
+        if self._armed is None or deadline < self._armed_for:
+            self._arm()
 
     def _arm(self) -> None:
         """Point the one loop wake-up at the heap's head (none once closed)."""

@@ -191,8 +191,10 @@ class ExploreChannel(Channel):
     Loss and outage decisions happen at *send* time exactly like every
     other backend's; what differs is the one step after them: a surviving
     packet waits on :attr:`wire` for the controller instead of on a time
-    heap.  Each queued entry remembers its FIFO-monotonic earliest arrival
-    so delivering it can advance the virtual clock consistently.
+    heap, whether the channel was idle or already had one in flight (the
+    wire is the backlog).  Each queued entry remembers its FIFO-monotonic
+    earliest arrival so delivering it can advance the virtual clock
+    consistently.
     """
 
     def __init__(self, scheduler: ExploreScheduler, *args: Any, **kwargs: Any):
@@ -204,6 +206,10 @@ class ExploreChannel(Channel):
 
     def _enqueue(self, arrival: float, _callback: Any, payload: Any) -> None:
         self.wire.append((payload, arrival, self.scheduler.next_seq()))
+
+    def _queue(self, arrival: float, payload: Any) -> None:
+        # Behind a packet in flight is the same wire: no timer to reserve.
+        self._enqueue(arrival, None, payload)
 
     def head(self) -> Optional[Tuple[Any, float, int]]:
         """The next deliverable entry, or ``None`` for an empty wire."""

@@ -7,9 +7,16 @@ simulations reproducible across runs and platforms.  The heap holds
 ``(time, seq, handle)`` tuples: ``seq`` is unique, so the tuple comparison
 is decided on the first two fields, in C, and never reaches the handle.
 
+An event may also be *reserved*: :meth:`Simulator.reserve` hands out the
+key ``schedule_at`` would use and counts the event pending, and
+:meth:`Simulator.push_reserved` queues it under that key later.  A channel
+does this for every packet sent behind one in flight (see
+:mod:`repro.sim.network`), so the heap holds one entry per busy channel,
+not one per packet.
+
 Observability: the loop maintains a live count of pending events (O(1),
-updated on push/pop/cancel) and a queue-depth high-water mark.  Wall-time
-attribution lives outside the loop, in ``bench/run.py --trace 1``.
+updated on push/reserve/pop/cancel) and a heap-depth high-water mark.
+Wall-time attribution lives outside the loop, in ``bench/run.py --trace 1``.
 """
 
 import heapq
@@ -81,6 +88,7 @@ class Simulator:
         #: live (non-cancelled) events in the queue, maintained in O(1)
         self._live: int = 0
         #: peak heap depth, including not-yet-collected cancelled entries
+        #: (reserved events are pending but not in the heap)
         self.heap_high_water: int = 0
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
@@ -114,6 +122,38 @@ class Simulator:
         if len(heap) > self.heap_high_water:
             self.heap_high_water = len(heap)
         return handle
+
+    def reserve(self, time: float) -> Tuple[float, int]:
+        """Fix the ``(time, seq)`` key ``schedule_at(time)`` would use now,
+        and count the event pending, without queuing it.
+
+        The caller queues it with :meth:`push_reserved`; until then it
+        holds no handle and no heap slot.  It cannot be cancelled.
+        """
+        delay = time - self.now
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        return self.now + delay, seq
+
+    def push_reserved(
+        self, time: float, seq: int, callback: Callable, *args: Any
+    ) -> None:
+        """Queue a reserved event under its key, or at ``now`` if the clock
+        has passed it.
+
+        A channel pushes its next packet from the callback of the one
+        before, so ``now`` is that packet's key: the clamp keeps a key that
+        rounded one ulp below its predecessor's in send order.
+        """
+        if time < self.now:
+            time = self.now
+        heap = self._heap
+        heapq.heappush(heap, (time, seq, EventHandle(time, seq, callback, args, self)))
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
 
     def peek_time(self) -> Optional[float]:
         """Return the virtual time of the next live event, or ``None``."""

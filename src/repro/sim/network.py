@@ -5,6 +5,13 @@ Channels model the paper's inter-node communication assumptions:
 * **FIFO** — Section 3.1 assumes a FIFO channel between any two sequencers.
   A channel has a constant propagation delay, and delivery times are forced
   to be non-decreasing, so FIFO holds even if the delay is later changed.
+  Only the packet at the head of a channel holds a timer; one sent while
+  another is in flight waits in the channel's *backlog* — a key, a
+  sequence number and a payload in three columns — under the key the
+  timer heap handed out at send time, and is armed when its predecessor
+  arrives.  The heap therefore fires the same ``(time, seq)`` sequence as
+  if every packet were on it, and a packet in flight costs three column
+  slots instead of a handle, a heap entry and an argument tuple.
 * **Propagation delay only** — Section 4.1: "The simulator models the
   propagation delay between routers, but not packet losses or queuing
   delays."  Loss is therefore off by default, but can be enabled
@@ -19,19 +26,43 @@ attributed to their cause — random loss vs. outage — so chaos reports can
 explain where packets went.
 
 One :class:`Network` serves every backend.  It is typed against the node
-handle (anything with ``now`` and ``schedule_at``), so the simulator's
-heap and the asyncio scheduler's heap use it unchanged; the explorer
-subclasses it to queue surviving packets on a wire for its controller
+handle (anything with ``now`` and ``schedule_at``, plus ``reserve`` and
+``push_reserved`` for the backlog), so the simulator's heap and the
+asyncio scheduler's heap use it unchanged; the explorer subclasses it to
+queue every surviving packet on a wire for its controller
 (:mod:`repro.runtime.explore_backend`).
 """
 
 import random
+from array import array
 from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.runtime.node import Process
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.runtime.interfaces import NodeHandle
+
+#: delivered backlog slots are cut off the columns' front once there are
+#: this many and they are at least half of them (a channel that never
+#: drains keeps what is in flight, not what it ever sent)
+_COMPACT_AT = 1024
+
+
+class _Backlog:
+    """The packets of one channel sent behind its head, in send order.
+
+    Each is a slot in three columns: the ``(key, seq)`` the timer heap
+    handed out at send time and the payload.  ``read`` is the next slot
+    to arm.
+    """
+
+    __slots__ = ("keys", "seqs", "payloads", "read")
+
+    def __init__(self) -> None:
+        self.keys = array("d")
+        self.seqs = array("q")
+        self.payloads: List[Any] = []
+        self.read = 0
 
 
 class Channel:
@@ -87,9 +118,13 @@ class Channel:
         #: the one callback every send schedules: ``self._deliver`` in the
         #: send would allocate a bound method per packet in flight
         self._on_arrival = self._deliver
-        #: where an admitted packet goes, ``put(arrival, callback, payload)``:
-        #: the node's timer heap, bound once so a send pays no extra frame
+        #: where a packet sent on an idle channel goes,
+        #: ``put(arrival, callback, payload)``: the node's timer heap, bound
+        #: once so a send pays no extra frame
         self._put: Callable[..., Any] = node.schedule_at
+        #: packets sent behind the one in flight; made on first use and
+        #: dropped when it drains, so an idle channel holds ``None``
+        self._backlog: Optional[_Backlog] = None
 
     @property
     def drops(self) -> int:
@@ -136,13 +171,47 @@ class Channel:
         if arrival < self._last_delivery_time:
             arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        self._put(arrival, self._on_arrival, payload)
+        if self.in_flight:
+            self._queue(arrival, payload)
+        else:
+            self._put(arrival, self._on_arrival, payload)
         self.in_flight += 1
         if self.in_flight > self.in_flight_high_water:
             self.in_flight_high_water = self.in_flight
         return True
 
+    def _queue(self, arrival: float, payload: Any) -> None:
+        """Hold a packet sent behind the one in flight: its key is taken
+        now, its timer armed when its predecessor arrives."""
+        node: Any = self.node
+        key, seq = node.reserve(arrival)
+        backlog = self._backlog
+        if backlog is None:
+            backlog = self._backlog = _Backlog()
+        backlog.keys.append(key)
+        backlog.seqs.append(seq)
+        backlog.payloads.append(payload)
+
     def _deliver(self, payload: Any) -> None:
+        backlog = self._backlog
+        if backlog is not None:
+            # Arm the next packet first, under the key it was sent with.
+            index = backlog.read
+            payloads = backlog.payloads
+            node: Any = self.node
+            node.push_reserved(
+                backlog.keys[index], backlog.seqs[index], self._on_arrival,
+                payloads[index],
+            )
+            index += 1
+            if index == len(payloads):
+                self._backlog = None
+            else:
+                payloads[index - 1] = None  # the timer holds it now
+                if index >= _COMPACT_AT and 2 * index >= len(payloads):
+                    del backlog.keys[:index], backlog.seqs[:index], payloads[:index]
+                    index = 0
+                backlog.read = index
         self.in_flight -= 1
         self.receives += 1
         self.dst.messages_received += 1
@@ -317,7 +386,8 @@ class Network:
         return len(retired)
 
     def _keep_retired(self, key: Tuple[Any, Any], channel: Channel) -> None:
-        """Hook for a retired channel: the heap already holds its packets."""
+        """Hook for a retired channel: the heap holds its head packet's
+        timer, whose callback keeps the channel and its backlog alive."""
 
     @property
     def retired_edges(self) -> Set[Tuple[Any, Any]]:

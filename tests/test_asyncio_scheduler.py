@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.runtime.asyncio_backend import AsyncioScheduler, AsyncioTransport
 from repro.runtime.node import Process
+from repro.sim.network import Network
 
 LIVE_TIME_SCALE = 1e-6
 
@@ -232,6 +233,25 @@ def test_batch_does_not_fire_what_it_scheduled_even_on_a_frozen_clock(rig):
         loop.fire()  # one wake-up, one tick: the loop gets a turn in between
         assert len(ticks) == expected
     assert scheduler.pending == 0 and loop.live() == []
+
+
+def test_a_due_backlog_fires_in_its_heads_batch(rig):
+    """Packets sent behind a channel's head hold no heap entry, count as
+    live, and fire in the head's wake-up when they are due by then: their
+    seqs were taken at send time, below the batch's fence."""
+    scheduler, loop, clock = rig
+    network = Network(scheduler)
+    network.add_process(Recorder(scheduler, "a"))
+    sink = network.add_process(Recorder(scheduler, "b"))
+    channel = network.connect("a", "b", 1.0)
+    for index in range(3):
+        channel.send(index)
+    assert scheduler.pending == 3 and len(scheduler._heap) == 1
+    clock.now = 5.0
+    loop.fire()
+    assert sink.got == [0, 1, 2] and scheduler.events_executed == 3
+    assert scheduler.pending == 0 and loop.live() == []
+    assert channel._backlog is None
 
 
 def test_close_cancels_the_armed_timer_and_nothing_arms_after(rig):

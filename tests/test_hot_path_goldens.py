@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.core.protocol import DeliverPacket
+from repro.core.delivery_log import MessageHeader
 from repro.experiments.common import ExperimentEnv
 from repro.runtime.explore_backend import ExploreTransport
 from tests.conftest import golden_snapshot
@@ -146,13 +146,13 @@ def test_instance_patches_intercept_every_call(env32):
     fabric = env32.build_fabric(
         env32.membership_from(golden_snapshot()), seed=3, trace=False
     )
-    seen = {"transmit": 0, "deliver_packets": 0, "process": 0, "on_receive": 0}
+    seen = {"transmit": 0, "headers": 0, "process": 0, "on_receive": 0}
 
     transmit = fabric._transmit
 
     def patched_transmit(src, dst, packet):
         seen["transmit"] += 1
-        seen["deliver_packets"] += isinstance(packet, DeliverPacket)
+        seen["headers"] += isinstance(packet, MessageHeader)
         transmit(src, dst, packet)
 
     fabric._transmit = patched_transmit
@@ -190,7 +190,8 @@ def test_instance_patches_intercept_every_call(env32):
     fabric.run()
 
     assert seen["transmit"] == fabric.network.total_sends() > 0
-    assert seen["deliver_packets"] == sum(
+    # One header transmitted per member of each distributed message.
+    assert seen["headers"] == sum(
         len(p.delivered) for p in fabric.host_processes.values()
     )
     assert seen["process"] == runtime.visits > 0

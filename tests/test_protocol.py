@@ -227,11 +227,11 @@ def test_delivery_record_is_slotted_frozen_and_still_copyable():
 
 
 def test_packets_are_slotted_and_keep_their_defaults():
+    from repro.core.delivery_log import MessageHeader
     from repro.core.messages import Stamp
     from repro.core.protocol import (
         AckPacket,
         DataPacket,
-        DeliverPacket,
         HeartbeatPing,
         HeartbeatPong,
         HopPacket,
@@ -239,14 +239,16 @@ def test_packets_are_slotted_and_keep_their_defaults():
         StableNotice,
     )
 
-    packet = DeliverPacket(
-        stamp=Stamp(0, 1), payload=None, msg_id=1, sender=0, publish_time=0.0, dest=2
+    # The distribution packet is the message's header: no destination or
+    # egress field rides on it.
+    header = MessageHeader(
+        stamp=Stamp(0, 1), payload=None, msg_id=1, sender=0, publish_time=0.0
     )
-    assert packet.egress_node == -1
-    assert packet == DeliverPacket(Stamp(0, 1), None, 1, 0, 0.0, 2, -1)
-    assert repr(packet).endswith("dest=2, egress_node=-1)")
+    assert header == MessageHeader(Stamp(0, 1), None, 1, 0, 0.0)
+    assert repr(header).endswith("msg_id=1, sender=0, publish_time=0.0)")
+    assert header.size_bytes() == Stamp(0, 1).size_bytes()
     for cls in (
-        AckPacket, DataPacket, DeliverPacket, HeartbeatPing, HeartbeatPong,
-        HopPacket, StabilityAck, StableNotice,
+        AckPacket, DataPacket, HeartbeatPing, HeartbeatPong, HopPacket,
+        MessageHeader, StabilityAck, StableNotice,
     ):
         assert "__dict__" not in dir(cls), cls

@@ -86,11 +86,11 @@ def test_retransmissions_happen(env32):
 
 
 def test_hop_packet_sizes():
+    from repro.core.delivery_log import MessageHeader
     from repro.core.messages import Stamp
-    from repro.core.protocol import DeliverPacket
 
-    inner = DeliverPacket(
-        stamp=Stamp(0, 1), payload=None, msg_id=1, sender=0, publish_time=0.0, dest=2
+    inner = MessageHeader(
+        stamp=Stamp(0, 1), payload=None, msg_id=1, sender=0, publish_time=0.0
     )
     hop = HopPacket(3, inner)
     assert hop.size_bytes() == 4 + inner.size_bytes()

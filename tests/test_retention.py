@@ -325,3 +325,57 @@ def test_sends_in_flight_do_not_each_hold_a_bound_method():
     assert methods() - before <= 2
     sim.run()
     assert channel.receives == 1001 and channel.in_flight == 0
+
+
+def test_a_packet_queued_behind_the_head_is_a_slot_in_three_columns():
+    """Ten thousand packets sent behind one armed head: each costs its key,
+    its seq and a payload reference (24 B, ≤ 32 with the columns' spare
+    capacity) and no tracked object — where a timer per packet cost ≈ 256 B
+    and three (handle, heap tuple, argument tuple).  A drained channel and
+    a never-used one hold no backlog at all."""
+    n = 10_000
+    sim = Simulator()
+    busy = Channel(sim, Sink(sim, "a"), Sink(sim, "b"), delay=5.0)
+    never = Channel(sim, Sink(sim, "c"), Sink(sim, "d"), delay=5.0)
+    payloads = [object() for _ in range(n)]  # built before counting
+    busy.send("head")
+    before = tracked()
+    tracemalloc.start()
+    try:
+        for payload in payloads:
+            busy.send(payload)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert busy.in_flight == sim.pending == n + 1
+    assert grown / n <= 32
+    assert tracked() - before <= 16
+    sim.run()
+    assert busy.receives == n + 1 and busy.in_flight == 0
+    assert busy._backlog is None and never._backlog is None
+
+
+def test_a_channel_that_never_drains_keeps_what_is_in_flight():
+    """A send every 0.5 ms on a 10 ms link keeps ≈ 20 packets in flight
+    for 20 000 sends without the channel ever going idle: its backlog
+    columns stay bounded by what is in flight (plus the delivered front,
+    cut off once it is 1 024 slots and half the columns), in FIFO order."""
+    sim = Simulator()
+    got = []
+
+    class Recorder(Process):
+        def receive(self, payload, channel):
+            got.append(payload)
+
+    channel = Channel(sim, Sink(sim, "a"), Recorder(sim, "b"), delay=10.0)
+    longest = 0
+    for index in range(20_000):
+        sim.schedule_at(index * 0.5, channel.send, index)
+    while sim.step():
+        backlog = channel._backlog
+        if backlog is not None:
+            longest = max(longest, len(backlog.payloads))
+    assert got == list(range(20_000))
+    assert channel.in_flight_high_water <= 21
+    assert 1024 <= longest <= 2 * 1024 + 21

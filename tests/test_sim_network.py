@@ -232,6 +232,26 @@ def test_contract_fifo_same_instant_and_near_tie(backend):
     assert channel.receives == 10 and channel.in_flight == 0
 
 
+def test_contract_fifo_when_the_delay_shrinks_behind_a_packet(backend):
+    """Two sends share one clamped arrival (the delay halves in between, as
+    a delay spike's restore does).  On the simulator the second send's key,
+    ``0.4 + (1.4 - 0.4)``, rounds one ulp below the first's,
+    ``0.3 + (1.4 - 0.3)``: FIFO must hold in the key the heap orders by,
+    not only in the arrival float."""
+    net = wired(backend)
+    channel = net.connect("a", "b", 1.1)
+
+    def shrink_and_send():
+        channel.delay = 0.55
+        channel.send("second")
+
+    backend.scheduler.schedule(0.3, channel.send, "first")
+    backend.scheduler.schedule(0.4, shrink_and_send)
+    backend.run()
+    assert payloads(net, "b") == ["first", "second"]
+    assert channel.receives == 2 and channel.in_flight == 0
+
+
 def test_contract_conflicting_delay_refused_until_retired(backend):
     net = wired(backend)
     original = net.connect("a", "b", 2.0)

@@ -3,6 +3,7 @@
 import random
 
 from repro.pubsub.membership import GroupMembership
+from tests.conftest import golden_snapshot
 
 
 def membership_two_groups():
@@ -79,6 +80,48 @@ def test_stability_with_host_crash(env32):
     # delivered; then everyone learns it.
     for member in (0, 1, 2, 3):
         assert msg in fabric.stable_messages(member)
+
+
+def test_stability_acks_reach_a_relocated_egress_node(env32):
+    """The distribution carries no ack target: a member acks to its group's
+    egress node (the one hosting the last path atom).  Acks that node
+    misses would leave the message unstable.  Relocated mid-run, with
+    messages in flight, the node keeps its process and collects them all."""
+    fabric = env32.build_fabric(
+        env32.membership_from(golden_snapshot()),
+        track_stability=True,
+        retransmit_timeout=5.0,
+    )
+    # A group whose path leaves the node that sequenced it first.
+    group = next(
+        g for g in sorted(fabric.membership.groups())
+        if fabric._ingress_of(g)[1] is not fabric._egress_of(g)
+    )
+    members = sorted(fabric.membership.members(group))
+    egress = fabric._egress_of(group)
+    seen = []
+    collect = egress._collect_stability_ack
+
+    def counted(ack):
+        seen.append((ack.msg_id, ack.host))
+        collect(ack)
+
+    egress._collect_stability_ack = counted
+    sent = [fabric.publish(members[0], group) for _ in range(3)]
+    fabric.sim.schedule(
+        1.0,
+        fabric.relocate_node,
+        egress.node_id,
+        (egress.machine + 1) % fabric.topology.n_nodes,
+    )
+    fabric.sim.schedule(2.0, lambda: sent.append(fabric.publish(members[1], group)))
+    fabric.run()
+    assert fabric.failovers and fabric._egress_of(group) is egress
+    for msg in sent:
+        for member in members:
+            assert msg in fabric.stable_messages(member)
+    assert {(msg, member) for msg in sent for member in members} <= set(seen)
+    assert not egress._stability_waiting and not egress._stability_members
 
 
 def test_duplicate_acks_harmless(env32):
