@@ -253,41 +253,56 @@ def check_group_order(run: RunLike) -> List[Finding]:
 def check_exactly_once(run: RunLike, complete: bool = True) -> List[Finding]:
     """RT301/RT302: no duplicates; every message reached every member."""
     view = as_run_view(run)
-    findings: List[Finding] = []
-    counts: Dict[int, Dict[int, int]] = {}
-    for host_id in view.hosts():
-        per_host: Dict[int, int] = {}
-        for msg_id in _delivered_ids(view, host_id):
-            per_host[msg_id] = per_host.get(msg_id, 0) + 1
-        counts[host_id] = per_host
-        duplicates = sorted(m for m, n in per_host.items() if n > 1)
-        if duplicates:
-            findings.append(
-                _finding(
-                    "RT301",
-                    f"host {host_id} delivered messages more than once: "
-                    f"{duplicates[:8]}",
-                    f"host {host_id}",
-                )
-            )
-    if not complete:
+    return _exactly_once(view, _DeliveryIndex(view), complete)
+
+
+def _exactly_once(
+    view: RunView, index: "_DeliveryIndex", complete: bool
+) -> List[Finding]:
+    findings = [
+        _finding(
+            "RT301",
+            f"host {host_id} delivered messages more than once: "
+            f"{duplicates[:8]}",
+            f"host {host_id}",
+        )
+        for host_id, duplicates in sorted(index.duplicates.items())
+    ]
+    if not complete or not view.published:
         return findings
-    for msg_id in sorted(view.published):
+    msg_ids = np.array(sorted(view.published), np.int64)
+    if len(findings) >= MAX_FINDINGS_PER_CHECK:
+        # The cap is tested after each message, so the first one still counts.
+        msg_ids = msg_ids[:1]
+    groups = [view.published[msg_id].group for msg_id in msg_ids.tolist()]
+    # One row per distinct group: which index rows are its members.
+    group_list = sorted(set(groups))
+    hosts = np.array(index.hosts, np.int64)
+    is_member = np.array(
+        [np.isin(hosts, sorted(view.members(g))) for g in group_list], bool
+    )
+    group_row = np.searchsorted(group_list, groups)
+    rows, which, _ = index.deliveries_of(msg_ids)
+    counted = is_member[group_row[which], rows]
+    reached = np.bincount(which[counted], minlength=len(msg_ids))
+    width = np.array([len(view.members(g)) for g in group_list])[group_row]
+    for i in np.flatnonzero(reached < width).tolist():
+        msg_id = int(msg_ids[i])
         message = view.published[msg_id]
+        got = {index.hosts[row] for row in rows[which == i].tolist()}
         missing = [
             member
             for member in sorted(view.members(message.group))
-            if counts.get(member, {}).get(msg_id, 0) == 0
+            if member not in got
         ]
-        if missing:
-            findings.append(
-                _finding(
-                    "RT302",
-                    f"message {msg_id} (group {message.group}) never "
-                    f"delivered at members {missing}",
-                    f"msg {msg_id}",
-                )
+        findings.append(
+            _finding(
+                "RT302",
+                f"message {msg_id} (group {message.group}) never "
+                f"delivered at members {missing}",
+                f"msg {msg_id}",
             )
+        )
         if len(findings) >= MAX_FINDINGS_PER_CHECK:
             break
     return findings
@@ -340,36 +355,57 @@ def check_publisher_fifo(run: RunLike) -> List[Finding]:
 class _DeliveryIndex:
     """Where every host delivered every message, grouped by message.
 
-    ``maps[host]`` is the position of each message in the host's log (of
-    its last delivery, for a message delivered twice).  ``msgs``, ``rows``
-    and ``positions`` hold the same facts as parallel arrays sorted by
-    message id, so "where did each host deliver these messages" is one
+    Built from each host's message-id column.  ``msgs``, ``rows`` and
+    ``positions`` are parallel arrays sorted by message id, then host: one
+    entry per message a host delivered, at the position in its log of its
+    last delivery.  So "where did each host deliver these messages" is one
     gather (:meth:`positions_of`) instead of a dict probe per host and
     message.  ``rows`` index :attr:`hosts`, which is sorted.
+    ``duplicates[host]`` lists, sorted, the messages a host delivered more
+    than once.  A host's ``{msg: position}`` dict is built only when asked
+    for (:meth:`positions_at`): for a host a finding has to name.
     """
 
     def __init__(self, view: RunView):
         self.hosts = view.hosts()
-        self.maps: Dict[int, Dict[int, int]] = {
-            host_id: {
-                msg_id: position
-                for position, msg_id in enumerate(_ids_of(view.delivered[host_id]))
-            }
+        self._logs = view.delivered
+        self._maps: Dict[int, Dict[int, int]] = {}
+        columns = [
+            np.asarray(_ids_of(self._logs[host_id]), np.int64)
             for host_id in self.hosts
-        }
-        maps = self.maps.values()
-        msgs = np.fromiter(
-            (msg_id for positions in maps for msg_id in positions), np.int64
-        )
+        ]
+        lengths = np.array([len(column) for column in columns], np.int64)
+        msgs = np.concatenate(columns) if columns else np.empty(0, np.int64)
+        del columns
+        rows = np.repeat(np.arange(len(self.hosts), dtype=np.int32), lengths)
+        positions = (
+            np.arange(len(msgs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        ).astype(np.int32)
         by_msg = np.argsort(msgs, kind="stable")
-        self.msgs = msgs[by_msg]
-        self.rows = np.repeat(
-            np.arange(len(self.hosts), dtype=np.int32),
-            [len(positions) for positions in maps],
-        )[by_msg]
-        self.positions = np.fromiter(
-            (p for positions in maps for p in positions.values()), np.int32
-        )[by_msg]
+        msgs, rows, positions = msgs[by_msg], rows[by_msg], positions[by_msg]
+        del by_msg
+        # A host's deliveries of one message are adjacent now, in log order:
+        # keep the last of each.
+        again = (msgs[1:] == msgs[:-1]) & (rows[1:] == rows[:-1])
+        self.duplicates: Dict[int, List[int]] = {}
+        for row, msg_id in sorted(
+            set(zip(rows[1:][again].tolist(), msgs[1:][again].tolist()))
+        ):
+            self.duplicates.setdefault(self.hosts[row], []).append(msg_id)
+        last = np.ones(len(msgs), bool)
+        last[:-1] = ~again
+        self.msgs, self.rows, self.positions = msgs[last], rows[last], positions[last]
+
+    def positions_at(self, host_id: int) -> Dict[int, int]:
+        """Where ``host_id`` delivered each message it delivered (its last
+        delivery's position, for a message delivered twice)."""
+        positions = self._maps.get(host_id)
+        if positions is None:
+            positions = self._maps[host_id] = {
+                msg_id: position
+                for position, msg_id in enumerate(_ids_of(self._logs[host_id]))
+            }
+        return positions
 
     def deliveries_of(
         self, msg_ids: np.ndarray
@@ -409,16 +445,16 @@ def check_mutual_consistency(run: RunLike) -> List[Finding]:
     a host that delivered something twice, are compared message by message.
     """
     view = as_run_view(run)
+    return _mutual_consistency(view, _DeliveryIndex(view))
+
+
+def _mutual_consistency(view: RunView, index: _DeliveryIndex) -> List[Finding]:
     findings: List[Finding] = []
-    index = _DeliveryIndex(view)
     host_ids = index.hosts
-    repeated = [
-        len(index.maps[host_id]) != len(view.delivered[host_id])
-        for host_id in host_ids
-    ]
+    repeated = [host_id in index.duplicates for host_id in host_ids]
 
     def common_order(host_id: int, other: int) -> List[int]:
-        theirs = index.maps[other]
+        theirs = index.positions_at(other)
         return [m for m in _ids_of(view.delivered[host_id]) if m in theirs]
 
     for row, a in enumerate(host_ids):
@@ -466,7 +502,10 @@ def check_causal_order(run: RunLike) -> List[Finding]:
     offending (message, host); only those name their dependencies.
     """
     view = as_run_view(run)
-    index = _DeliveryIndex(view)
+    return _causal_order(view, _DeliveryIndex(view))
+
+
+def _causal_order(view: RunView, index: _DeliveryIndex) -> List[Finding]:
     by_sender: Dict[int, List[PublishedEntry]] = {}
     for message in view.published.values():
         by_sender.setdefault(message.sender, []).append(message)
@@ -496,7 +535,7 @@ def check_causal_order(run: RunLike) -> List[Finding]:
     findings: List[Finding] = []
     for msg_id, row in sorted(offending):
         host_id = index.hosts[row]
-        position = index.maps[host_id]
+        position = index.positions_at(host_id)
         message = view.published[msg_id]
         for r in view.delivered[message.sender]:
             if (
@@ -576,16 +615,18 @@ def verify_run(
         Check pairwise cross-group agreement (RT305).
 
     Returns the (possibly empty) list of findings, deterministic in order.
+    RT301/RT302, RT305 and RT306 read one :class:`_DeliveryIndex`.
     """
     view = as_run_view(run)
+    index = _DeliveryIndex(view)
     findings: List[Finding] = []
     findings.extend(check_group_order(view))
-    findings.extend(check_exactly_once(view, complete=complete))
+    findings.extend(_exactly_once(view, index, complete))
     findings.extend(check_no_residual_buffering(view))
     findings.extend(check_publisher_fifo(view))
     if mutual:
-        findings.extend(check_mutual_consistency(view))
+        findings.extend(_mutual_consistency(view, index))
     if causal:
-        findings.extend(check_causal_order(view))
+        findings.extend(_causal_order(view, index))
     findings.extend(check_stability(view))
     return findings

@@ -561,12 +561,11 @@ class SequencingNodeProcess(Process):
                 f"atom {AtomId.by_number(atom)} routed to node {self.node_id} "
                 "but not hosted"
             )
-        trace = self.fabric.trace
+        if self.fabric.trace.enabled:
+            self._process_traced(runtime, message)
+            return
         while True:
-            if trace.enabled:
-                next_atom = self._process_traced(runtime, message)
-            else:
-                next_atom = runtime.process(message)
+            next_atom = runtime.process(message)
             if next_atom is None:
                 self.fabric._distribute(self, message)
                 return
@@ -575,31 +574,53 @@ class SequencingNodeProcess(Process):
                 self.fabric._send_data(self, next_atom, message)
                 return
 
-    def _process_traced(self, runtime: AtomRuntime, message: Message) -> Optional[int]:
-        """One atom visit plus its forensic record (tracing-enabled path).
+    def _process_traced(self, runtime: AtomRuntime, message: Message) -> None:
+        """:meth:`process_at` plus the visit's forensic records (tracing-
+        enabled path), in path order.
 
-        Emits ``atom_seq`` when the visit assigned any sequence number —
+        Emits ``atom_seq`` for each atom that assigned a sequence number —
         an overlap number (``seq``), the group-local number at ingress
-        (``group_seq``), or both — and ``atom_pass`` for a pure
-        pass-through in arrival order.
+        (``group_seq``), or both — and one ``atom_pass`` per maximal run of
+        consecutive pass-through atoms: its first atom and its length.  A
+        run ends at a stamping atom, whose ``atom_seq`` follows it, or where
+        the message leaves the node.
         """
-        group_seq_before = message.group_seq
-        stamped_before = len(message.seqs)
-        next_atom = runtime.process(message)
-        seqs = message.seqs
-        seq = seqs[-1] if len(seqs) > stamped_before else None
-        group_seq = message.group_seq if group_seq_before is None else None
-        if seq is None and group_seq is None:
-            self.fabric.trace.record(
-                self.sim.now, ATOM_PASS, message.msg_id, self.node_id,
-                runtime.atom_id.label,
-            )
+        runtimes = self._runtimes
+        record = self.fabric.trace.record
+        now = self.sim.now
+        msg_id = message.msg_id
+        node_id = self.node_id
+        run_atom = ""
+        run_length = 0
+        while True:
+            group_seq_before = message.group_seq
+            stamped_before = len(message.seqs)
+            next_atom = runtime.process(message)
+            seqs = message.seqs
+            seq = seqs[-1] if len(seqs) > stamped_before else None
+            group_seq = message.group_seq if group_seq_before is None else None
+            if seq is None and group_seq is None:
+                if not run_length:
+                    run_atom = runtime.atom_id.label
+                run_length += 1
+            else:
+                if run_length:
+                    record(now, ATOM_PASS, msg_id, node_id, run_atom, run_length)
+                    run_length = 0
+                record(
+                    now, ATOM_SEQ, msg_id, node_id, runtime.atom_id.label, seq,
+                    group_seq,
+                )
+            following = None if next_atom is None else runtimes.get(next_atom)
+            if following is None:
+                break
+            runtime = following
+        if run_length:
+            record(now, ATOM_PASS, msg_id, node_id, run_atom, run_length)
+        if next_atom is None:
+            self.fabric._distribute(self, message)
         else:
-            self.fabric.trace.record(
-                self.sim.now, ATOM_SEQ, message.msg_id, self.node_id,
-                runtime.atom_id.label, seq, group_seq,
-            )
-        return next_atom
+            self.fabric._send_data(self, next_atom, message)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ kind             data fields
 ``publish``      ``msg``, ``group``, ``sender``
 ``atom_seq``     ``msg``, ``node``, ``atom``, ``seq`` (overlap number or
                  null), ``group_seq`` (group-local number or null)
-``atom_pass``    ``msg``, ``node``, ``atom`` (pass-through, arrival order)
+``atom_pass``    ``msg``, ``node``, ``atom``, ``atoms`` (a run of ``atoms``
+                 pass-through atoms from ``atom``, arrival order; an
+                 export without ``atoms`` holds one record per atom)
 ``distribute``   ``msg``, ``node``, ``members``
 ``deliver``      ``msg``, ``host``, ``group``, ``sender``, ``publish_time``
 ``buffer``       ``msg``, ``host``, ``group``, ``blocked_kind``,
@@ -100,10 +102,12 @@ def stall_verdict(evidence: Dict[str, int], drained: bool) -> str:
 
 @dataclass(frozen=True)
 class AtomEvent:
-    """One atom's decision about one message (stamp or pass-through)."""
+    """One atom's stamp on one message, or one run of consecutive
+    pass-through atoms at one node."""
 
     time: float
     node: int
+    #: the atom, or a run's first atom
     atom: str
     #: ``"seq"`` (assigned at least one number) or ``"pass"``
     action: str
@@ -111,6 +115,8 @@ class AtomEvent:
     seq: Optional[int] = None
     #: group-local number assigned (ingress stamping), if any
     group_seq: Optional[int] = None
+    #: atoms the record stands for: a pass-through run's length, else 1
+    atoms: int = 1
 
 
 @dataclass(frozen=True)
@@ -303,6 +309,7 @@ class Journey:
                     "action": e.action,
                     "seq": e.seq,
                     "group_seq": e.group_seq,
+                    "atoms": e.atoms,
                 }
                 for e in self.atom_events
             ],
@@ -431,6 +438,7 @@ class JourneyIndex:
             action="seq" if record.kind == "atom_seq" else "pass",
             seq=seq,
             group_seq=group_seq,
+            atoms=data.get("atoms", 1),
         )
         if journey is not None:
             journey.atom_events.append(event)
@@ -663,6 +671,8 @@ def render_journey(journey: Journey) -> str:
     for event in journey.atom_events:
         if event.action == "pass":
             what = "pass-through"
+            if event.atoms > 1:
+                what += f" ×{event.atoms} from {event.atom}"
         else:
             parts = []
             if event.group_seq is not None:

@@ -22,7 +22,7 @@ run and a live asyncio run.
 * *Records*, the per-kind index, and subscriber callbacks exist only while
   ``enabled`` is true.
 * Very hot call sites emitting high-volume kinds (e.g. the fabric's
-  per-atom ``atom_seq``/``atom_pass`` records) additionally guard on
+  ``atom_seq``/``atom_pass`` records) additionally guard on
   ``trace.enabled`` so the disabled path skips even packing the values;
   counts for those kinds are therefore only meaningful when tracing is on.
 * The protocol's seven kinds are declared once below, each as a
@@ -159,8 +159,10 @@ class Shape(str):
 # The protocol's records (:mod:`repro.core.protocol`), one per phase step.
 #: ingress: a message leaves its publisher
 PUBLISH = Shape("publish", ("msg", "group", "sender"))
-#: sequencing: an atom forwarded the message without numbering it
-ATOM_PASS = Shape("atom_pass", ("msg", "node", "atom"))
+#: sequencing: a run of ``atoms`` consecutive atoms at one node, from
+#: ``atom``, forwarded the message without numbering it (one record per
+#: maximal run; a node runs a message through its atoms at one instant)
+ATOM_PASS = Shape("atom_pass", ("msg", "node", "atom", "atoms"))
 #: sequencing: an atom numbered the message (overlap ``seq``, ingress
 #: ``group_seq``, or both; the other is ``None``)
 ATOM_SEQ = Shape("atom_seq", ("msg", "node", "atom", "seq", "group_seq"))

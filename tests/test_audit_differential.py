@@ -1,18 +1,23 @@
-"""RT305 / RT306 against the routines they replaced.
+"""RT301 / RT302 / RT305 / RT306 against the routines they replaced.
 
 ``check_mutual_consistency`` and ``check_causal_order`` find offenders
 with one running maximum over a positions table per host; the bodies they
 had before — a set intersection and two list comprehensions per host pair,
 a rescan of the publisher's log and a dict probe per (message, dependency,
-host) — are kept here as oracles.  Findings are the contract: code, text,
-anchor, order and the 25-per-check cap must be identical on any view,
-clean or broken.
+host) — are kept here as oracles.  So are ``check_exactly_once`` as it
+counted deliveries in a dict per host, and the delivery index as it was
+built from a ``{msg: position}`` dict per host, before ``verify_run`` built
+one index from the id columns for all of them.  Findings are the contract:
+code, text, anchor, order and the 25-per-check cap must be identical on
+any view, clean or broken.
 """
 
 import gc
 import random
+import tracemalloc
 from typing import Dict, List
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,10 +29,17 @@ from repro.check.invariants import (
     PublishedEntry,
     RunView,
     check_causal_order,
+    check_exactly_once,
+    check_group_order,
     check_mutual_consistency,
+    check_no_residual_buffering,
+    check_publisher_fifo,
+    check_stability,
     fabric_view,
     verify_run,
 )
+from repro.core.delivery_log import DeliveryLog, MessageHeader
+from repro.core.messages import Stamp
 from repro.experiments.common import ExperimentEnv
 
 # ---------------------------------------------------------------------------
@@ -378,3 +390,226 @@ def test_audit_reads_grow_with_deliveries_not_their_square():
     small_reads, _ = _log_reads(oracle_causal_order, 150)
     large_reads, _ = _log_reads(oracle_causal_order, 600)
     assert large_reads >= 10 * small_reads
+
+
+# ---------------------------------------------------------------------------
+# One delivery index per audit, read from the id columns
+# ---------------------------------------------------------------------------
+
+
+class OracleDeliveryIndex:
+    """The index as it was built from a ``{msg: position}`` dict per host."""
+
+    def __init__(self, view: RunView):
+        self.hosts = view.hosts()
+        self.maps: Dict[int, Dict[int, int]] = {
+            host_id: {
+                msg_id: position
+                for position, msg_id in enumerate(_ids_of(view.delivered[host_id]))
+            }
+            for host_id in self.hosts
+        }
+        maps = self.maps.values()
+        msgs = np.fromiter(
+            (msg_id for positions in maps for msg_id in positions), np.int64
+        )
+        by_msg = np.argsort(msgs, kind="stable")
+        self.msgs = msgs[by_msg]
+        self.rows = np.repeat(
+            np.arange(len(self.hosts), dtype=np.int32),
+            [len(positions) for positions in maps],
+        )[by_msg]
+        self.positions = np.fromiter(
+            (p for positions in maps for p in positions.values()), np.int32
+        )[by_msg]
+
+
+_ids_of = invariants._ids_of
+
+
+def oracle_exactly_once(view: RunView, complete: bool = True) -> List[Finding]:
+    findings: List[Finding] = []
+    counts: Dict[int, Dict[int, int]] = {}
+    for host_id in view.hosts():
+        per_host: Dict[int, int] = {}
+        for msg_id in _delivered_ids(view, host_id):
+            per_host[msg_id] = per_host.get(msg_id, 0) + 1
+        counts[host_id] = per_host
+        duplicates = sorted(m for m, n in per_host.items() if n > 1)
+        if duplicates:
+            findings.append(
+                _finding(
+                    "RT301",
+                    f"host {host_id} delivered messages more than once: "
+                    f"{duplicates[:8]}",
+                    f"host {host_id}",
+                )
+            )
+    if not complete:
+        return findings
+    for msg_id in sorted(view.published):
+        message = view.published[msg_id]
+        missing = [
+            member
+            for member in sorted(view.members(message.group))
+            if counts.get(member, {}).get(msg_id, 0) == 0
+        ]
+        if missing:
+            findings.append(
+                _finding(
+                    "RT302",
+                    f"message {msg_id} (group {message.group}) never "
+                    f"delivered at members {missing}",
+                    f"msg {msg_id}",
+                )
+            )
+        if len(findings) >= MAX_FINDINGS_PER_CHECK:
+            break
+    return findings
+
+
+def assert_same_index(view: RunView) -> None:
+    index = invariants._DeliveryIndex(view)
+    oracle = OracleDeliveryIndex(view)
+    assert index.hosts == oracle.hosts
+    for name in ("msgs", "rows", "positions"):
+        mine, theirs = getattr(index, name), getattr(oracle, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+    for host_id in oracle.hosts:
+        assert index.positions_at(host_id) == oracle.maps[host_id]
+        repeated = len(oracle.maps[host_id]) != len(view.delivered[host_id])
+        assert (host_id in index.duplicates) == repeated
+
+
+def empty_host(view: RunView, rng: random.Random) -> None:
+    """A member that delivered nothing (its log is there, and empty)."""
+    if view.delivered:
+        view.delivered[rng.choice(sorted(view.delivered))] = []
+
+
+def duplicate_many(view: RunView, rng: random.Random) -> None:
+    """More than 25 hosts' worth of RT301 findings, so the cap is reached
+    before RT302 looks at its first message."""
+    for log in view.delivered.values():
+        if log:
+            log.append(log[0]._replace(time=log[-1].time))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hosts=st.integers(1, 30),
+    groups=st.integers(1, 4),
+    messages=st.integers(0, 40),
+    breaks=st.lists(
+        st.sampled_from(BREAKS + (empty_host, duplicate_many)), max_size=4
+    ),
+    complete=st.booleans(),
+)
+def test_one_columnar_index_gives_the_same_findings(
+    seed, hosts, groups, messages, breaks, complete
+):
+    rng = random.Random(seed)
+    view = clean_view(rng, hosts, groups, messages)
+    for damage in (None,) + tuple(breaks):
+        if damage is not None:
+            damage(view, rng)
+        assert_same_index(view)
+        assert check_exactly_once(view, complete) == oracle_exactly_once(view, complete)
+        assert_same_findings(view)
+        assert verify_run(view, complete=complete) == (
+            check_group_order(view)
+            + oracle_exactly_once(view, complete)
+            + check_no_residual_buffering(view)
+            + check_publisher_fifo(view)
+            + oracle_mutual_consistency(view)
+            + oracle_causal_order(view)
+            + check_stability(view)
+        )
+
+
+def test_a_gap_duplicates_and_an_empty_log_are_named_as_before():
+    view = clean_view(random.Random(4), 6, 3, 30)
+    drop_one(view, random.Random(1))
+    duplicate_one(view, random.Random(2))
+    empty_host(view, random.Random(3))
+    found = check_exactly_once(view)
+    assert {f.code for f in found} == {"RT301", "RT302"}
+    assert found == oracle_exactly_once(view)
+    nobody = RunView(
+        delivered={},
+        membership={0: frozenset({1, 2})},
+        published={5: PublishedEntry(5, 0, 1, 0.0)},
+    )
+    assert [f.message for f in check_exactly_once(nobody)] == [
+        "message 5 (group 0) never delivered at members [1, 2]"
+    ]
+    assert check_exactly_once(nobody) == oracle_exactly_once(nobody)
+    assert verify_run(nobody) == oracle_exactly_once(nobody)
+
+
+def test_verify_run_builds_one_delivery_index(monkeypatch):
+    built = []
+
+    class Counted(invariants._DeliveryIndex):
+        def __init__(self, view: RunView):
+            built.append(view)
+            super().__init__(view)
+
+    monkeypatch.setattr(invariants, "_DeliveryIndex", Counted)
+    view = clean_view(random.Random(6), 8, 3, 60)
+    swap_two(view, random.Random(7))
+    duplicate_one(view, random.Random(8))
+    assert verify_run(view)
+    assert len(built) == 1
+    # Each check called alone still builds its own.
+    check_exactly_once(view)
+    check_mutual_consistency(view)
+    check_causal_order(view)
+    assert len(built) == 4
+
+
+def columnar_view(hosts: int = 128, per_host: int = 500, groups: int = 16) -> RunView:
+    """``hosts`` fabric-style delivery logs (id, time and header columns) of
+    ``per_host`` deliveries each: every host is a member of ``groups / 4``
+    groups, and every member delivers its groups' messages in one order."""
+    lanes = groups // 4
+    membership = {
+        g: frozenset(h for h in range(hosts) if h % lanes == g % lanes)
+        for g in range(groups)
+    }
+    published: Dict[int, PublishedEntry] = {}
+    delivered = {h: DeliveryLog() for h in range(hosts)}
+    for msg_id in range(per_host * groups // lanes):
+        group = msg_id % groups
+        members = sorted(membership[group])
+        sender = members[msg_id % len(members)]
+        published[msg_id] = PublishedEntry(msg_id, group, sender, float(msg_id))
+        header = MessageHeader(
+            Stamp(group, msg_id // groups + 1), None, msg_id, sender, float(msg_id)
+        )
+        for member in members:
+            delivered[member].add(msg_id + 0.5, header)
+    return RunView(delivered=delivered, membership=membership, published=published)
+
+
+#: the audit's tracemalloc peak per delivery on :func:`columnar_view`
+#: (64 000 deliveries): 114.9 B when each check built its own index from a
+#: dict per host and RT301 counted into a dict per host, 43.0 B with one
+#: index read from the id columns
+AUDIT_PEAK_BYTES_PER_DELIVERY = 70
+
+
+def test_the_audit_peak_is_bounded_per_delivery():
+    view = columnar_view()
+    deliveries = sum(len(log) for log in view.delivered.values())
+    assert deliveries == 64_000
+    assert verify_run(view) == []  # warm: numpy and the checks' own caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert verify_run(view) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / deliveries <= AUDIT_PEAK_BYTES_PER_DELIVERY

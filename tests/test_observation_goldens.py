@@ -44,10 +44,12 @@ def test_traced_run_exports_unchanged(tmp_path, capsys):
         "--out", str(jsonl), "--chrome", str(chrome),
     ]) == 0
     capsys.readouterr()
-    # The parent's export with its 83 ``seq_hop`` lines removed.
+    # The export as it was with one ``atom_pass`` per atom (sha ead4c423…),
+    # each of its 31 ``atom_pass`` lines given ``"atoms": 1``: every
+    # pass-through run of this run is one atom long.
     assert (
         sha256(jsonl)
-        == "ead4c4232c1383ba1d1e6ec42858e788e75cdb4a9d4bcb6907046d2a51dfca92"
+        == "f34b26ca37033f1d6db9623bfef022bee28bc8d93ec790e311c3b430b303a6af"
     )
     assert (
         sha256(chrome)
@@ -168,21 +170,24 @@ print(json.dumps({
 def test_sim_observed_trace_records_unchanged():
     """The benchmark's observed workload, seed 0: every record of the run
     (in a child process: ``bench/`` is not a package).  The digest is the
-    one the run had with its 26 488 ``seq_hop`` records skipped, and the
-    visits derived in their place hash as those records did."""
+    one the run had with one ``atom_pass`` per atom (237 044 records, 121 454
+    of them ``atom_pass``, sha f75b8676…) after merging each maximal run of
+    adjacent ``atom_pass`` records of one message at one node into one with
+    ``atoms`` its length; the visits derived from the atom records hash as
+    the ``seq_hop`` records they replaced did."""
     done = subprocess.run(
         [sys.executable, "-c", _SIM_OBSERVED, str(ROOT / "bench")],
         capture_output=True, text=True, cwd=str(ROOT), timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.strip().splitlines()[-1]) == {
-        "records": 237044,
+        "records": 143782,
         "counts": {
             "publish": 4390, "atom_seq": 29922,
-            "atom_pass": 121454, "distribute": 4390, "deliver": 63640,
+            "atom_pass": 28192, "distribute": 4390, "deliver": 63640,
             "buffer": 6624, "drain": 6624,
         },
-        "sha256": "f75b86765efe259689198604782f796ca0a9be3eef50df56c759dddf69ca9149",
+        "sha256": "1cb6888ca6a74c8d86a49e65f525252689134bf9bd4052ab722ac9fa6b17f615",
         "alerts": 0,
         "window": 0,
         "visits": "64039480403ef72cd2459887d598dd929842c57e7ebaa8646286128041f83739",

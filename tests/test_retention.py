@@ -125,14 +125,14 @@ def record_all(trace: Trace, shape: Shape, rows: list) -> None:
     "shape, row",
     [
         (DELIVER, lambda i: (i % 32, 1000 + i, i % 8, i % 31, i / 7)),
-        (ATOM_PASS, lambda i: (1000 + i, i % 50, f"Q({i % 9},{i % 13})")),
+        (ATOM_PASS, lambda i: (1000 + i, i % 50, f"Q({i % 9},{i % 13})", i % 4 + 1)),
     ],
     ids=["deliver", "atom_pass"],
 )
 def test_a_record_retains_its_values_and_slots_only(shape, row):
     """Bytes and tracked objects a stored record adds beyond its values
     (built before counting): a value tuple and four slots, 114 B for
-    ``deliver`` and 98 B for ``atom_pass``, where keeping the call site's
+    ``deliver`` and 106 B for ``atom_pass``, where keeping the call site's
     kwargs dict instead came to 218 B for either."""
     n = 20_000
     rows = [row(i) for i in range(n)]
