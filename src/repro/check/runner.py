@@ -94,7 +94,8 @@ def run_graph_self_verification(
 ) -> Tuple[List[Finding], int]:
     """Build seeded workload graphs the production way and audit them."""
     # Imported here so `repro check --no-graph` (and the simlint unit
-    # tests) never pay for the topology/scipy stack.
+    # tests) never pay for importing the topology, routing and placement
+    # layers.
     from repro.core.placement import place
     from repro.core.sequencing_graph import SequencingGraph
     from repro.topology.clusters import attach_hosts

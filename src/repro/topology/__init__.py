@@ -10,8 +10,9 @@ properties the evaluation depends on — hierarchical locality and realistic
 delay spread — are preserved (see DESIGN.md, substitution table).
 
 :mod:`repro.topology.routing` provides shortest-path delays and paths over
-the generated graph (sparse Dijkstra, one shortest-path tree kept per
-solved source), and
+the generated graph (Dijkstra over flat CSR arrays, one shortest-path
+tree kept per solved source and grown only across the bridges its queries
+need), and
 :mod:`repro.topology.clusters` implements the paper's Section 4.1 host
 attachment: hosts are grouped into similar-size clusters placed uniformly at
 random, with hosts of a cluster close to each other.

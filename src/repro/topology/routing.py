@@ -2,30 +2,143 @@
 
 Messages in the evaluation travel on shortest (minimum-delay) paths, and any
 router can forward (paper Section 4.1).  All-pairs shortest paths over a
-10,000-router graph would need ~800 MB, so this module computes single-source
-Dijkstra on demand with scipy's sparse-graph routines and keeps each solved
-source; an experiment touches at most a few hundred distinct sources (hosts
-and sequencing machines).
+10,000-router graph would need ~800 MB, so this module runs single-source
+Dijkstra on demand, in plain Python over flat CSR arrays, and keeps each
+solved source's tree; an experiment touches at most a few hundred distinct
+sources (hosts and sequencing machines).
 
-A routing row is one shortest-path tree: scipy's predecessor row alone, in
-the narrowest signed integer type that holds every router id and scipy's
-``-9999`` "no predecessor" sentinel (int16 at paper scale, 20 KB).  The
-distance row is not kept.  scipy settles router ``v`` with
-``dist[v] = dist[u] + w(u, v)`` and ``pred[v] = u``, so adding the edge
-weights along the tree in path order from the source, ``0.0 + w1 + w2 +
-...``, gives back the distance row bit for bit (DESIGN.md §4.2k).  A delay
-once summed is kept under the tree that answered it, for the few routers
-ever asked about.
+A routing row is one shortest-path tree: a predecessor per router, in the
+narrowest signed integer type that holds every router id and the ``-9999``
+"no predecessor" sentinel (int16 at paper scale, 20 KB).  The distance row
+is not kept.  Dijkstra settles router ``v`` with ``dist[v] = dist[u] +
+w(u, v)`` and ``pred[v] = u``, so adding the edge weights along the tree in
+path order from the source, ``0.0 + w1 + w2 + ...``, gives back the
+distance row bit for bit (DESIGN.md §4.2k).  A delay once summed is kept
+under the tree that answered it, for the few routers ever asked about.
+
+A tree grows lazily, one 2-edge-connected component at a time, across
+bridges (DESIGN.md §4.2o).  A bridge is a link whose removal splits the
+graph; at paper scale every stub domain hangs off its transit router by
+one.  A new source settles its own component; a query for a router the
+tree lacks crosses the one uncrossed bridge on the way to it and settles
+the component beyond, until the router is in.  The region behind a bridge
+is reachable only through it, so Dijkstra there, seeded at the tree's sum
+to the far end, gives each router the distance a full Dijkstra computes,
+bit for bit.  A component entered at its head has one tree for every
+source unless rounding at some offset could reorder two sums in it; such
+a tree is grown once and copied.  Which components a tree holds is
+implicit in its row: a component it lacks has no router with a
+predecessor.
+
+Ties: among equally short predecessors a router takes the highest-numbered
+one.  Distances do not depend on the choice; ``path`` and the delivery-tree
+link counts do.
 """
 
+import heapq
 import math
-from typing import Dict, List
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.topology.gtitm import Topology
+
+#: predecessor of a source, and of every router its tree has not reached
+NO_PRED = -9999
+#: unit roundoff of a float64 addition
+_UNIT = 2.0**-53
+#: the shared tree of a component that is its head alone
+_ALONE: Tuple[array, array] = (array("i"), array("i"))
+
+
+def _csr(topology: Topology) -> Tuple[array, array, array]:
+    """``(indptr, indices, weights)`` of the undirected graph, rows sorted.
+
+    A link listed more than once is one link whose weight is the sum of
+    its listings, in list order, so it routes at that sum.
+    """
+    n = topology.n_nodes
+    listed = np.array(topology.edges, dtype=np.float64).reshape(-1, 3)
+    ends = listed[:, :2].astype(np.int64)
+    key = ends.min(axis=1) * n + ends.max(axis=1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else order
+    delay = np.add.reduceat(listed[order, 2], first) if len(key) else listed[:, 2]
+    lo, hi = np.divmod(key[first], n)
+    link = lo != hi
+    rows = np.concatenate((lo, hi[link]))
+    cols = np.concatenate((hi, lo[link]))
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return (
+        array("i", indptr.tobytes()),
+        array("i", cols[order].astype(np.int32).tobytes()),
+        array("d", np.concatenate((delay, delay[link]))[order].tobytes()),
+    )
+
+
+def _bridge_forest(
+    n: int, indptr: array, indices: array
+) -> Tuple[array, array, array, array, array]:
+    """One iterative Tarjan pass: ``(comp, tin, tout, head, up)``.
+
+    ``tin[x]`` is router ``x``'s depth-first preorder number and
+    ``tout[x]`` the last one inside its subtree.  ``comp[x]`` numbers the
+    2-edge-connected component of ``x`` (the graph less its bridges).
+    Component ``c`` is entered first at router ``head[c]``, from router
+    ``up[c]`` across its parent bridge, or ``-1`` when ``c`` begins a
+    connected piece.  The components under ``c`` in the bridge forest are
+    exactly the routers numbered ``tin[head[c]] .. tout[head[c]]``.
+    """
+    tin = array("i", [-1]) * n
+    tout = array("i", [0]) * n
+    low = array("i", [0]) * n
+    parent = array("i", [-1]) * n
+    order = array("i", [0]) * n
+    scan = array("i", indptr)
+    clock = 0
+    for start in range(n):
+        if tin[start] >= 0:
+            continue
+        tin[start] = low[start] = clock
+        order[clock] = start
+        clock += 1
+        stack = [start]
+        while stack:
+            u = stack[-1]
+            edge = scan[u]
+            if edge < indptr[u + 1]:
+                scan[u] = edge + 1
+                v = indices[edge]
+                if tin[v] < 0:
+                    parent[v] = u
+                    tin[v] = low[v] = clock
+                    order[clock] = v
+                    clock += 1
+                    stack.append(v)
+                elif tin[v] < low[u] and v != parent[u]:
+                    low[u] = tin[v]
+            else:
+                stack.pop()
+                tout[u] = clock - 1
+                p = parent[u]
+                if p >= 0 and low[u] < low[p]:
+                    low[p] = low[u]
+    comp = array("i", [0]) * n
+    head = array("i")
+    up = array("i")
+    for u in order:
+        p = parent[u]
+        if p < 0 or low[u] > tin[p]:  # a piece's first router, or across a bridge
+            comp[u] = len(head)
+            head.append(u)
+            up.append(p)
+        else:
+            comp[u] = comp[p]
+    return comp, tin, tout, head, up
 
 
 class RoutingTable:
@@ -40,22 +153,19 @@ class RoutingTable:
     def __init__(self, topology: Topology):
         self.topology = topology
         n = topology.n_nodes
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for u, v, d in topology.edges:
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((d, d))
-        self._graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        # Scalar reads through a memoryview return Python ints and floats,
-        # several times faster than indexing the numpy arrays.
-        self._indptr = memoryview(self._graph.indptr)
-        self._indices = memoryview(self._graph.indices)
-        self._weights = memoryview(self._graph.data)
-        self._pred_dtype = np.int16 if n - 1 <= np.iinfo(np.int16).max else np.int32
-        #: source router -> its shortest-path tree (predecessor per router)
-        self._trees: Dict[int, memoryview] = {}
+        self._indptr, self._indices, self._weights = _csr(topology)
+        self._comp, self._tin, self._tout, self._head, self._up = _bridge_forest(
+            n, self._indptr, self._indices
+        )
+        self._pred_code = "h" if n - 1 <= 32767 else "i"
+        #: bounds every shortest-path delay, and so every sum Dijkstra forms
+        self._total_weight = math.fsum(self._weights) / 2
+        #: component -> its tree from its head, shared by the sources that
+        #: enter it there (see ``_shared_tree``)
+        self._shared: Dict[int, Optional[Tuple[array, array]]] = {}
+        #: source router -> its shortest-path tree (predecessor per router),
+        #: grown as far as queries have needed
+        self._trees: Dict[int, array] = {}
         #: source router -> {router: delay summed along the source's tree},
         #: for the routers asked about (hosts and machines, not all 10,000)
         self._summed: Dict[int, Dict[int, float]] = {}
@@ -68,23 +178,151 @@ class RoutingTable:
     def neighbors(self, router: int) -> List[int]:
         """Routers one link away from ``router``, ascending.
 
-        Read off the sparse matrix this table already holds, so callers
-        that need a handful of neighbor sets (machine assignment) do not
-        build an adjacency dict over every router.
+        Read off the adjacency this table already holds, so callers that
+        need a handful of neighbor sets (machine assignment) do not build
+        an adjacency dict over every router.
         """
-        indptr = self._graph.indptr
-        row = self._graph.indices[indptr[router] : indptr[router + 1]]
-        return sorted(row.tolist())
+        return self._indices[self._indptr[router] : self._indptr[router + 1]].tolist()
 
-    def _solve(self, src: int) -> np.ndarray:
-        """Run Dijkstra from ``src``, keep its tree, return its distance row."""
-        dist, pred = dijkstra(
-            self._graph, directed=False, indices=src, return_predecessors=True
-        )
-        if src not in self._trees:
-            self._trees[src] = memoryview(pred.astype(self._pred_dtype))
-            self._summed[src] = {}
-        return dist
+    def _dijkstra(
+        self, seed: int, dist: float, region: int
+    ) -> Tuple[Dict[int, int], Dict[int, float]]:
+        """Dijkstra from ``seed`` at ``dist``, inside component ``region``.
+
+        Returns each settled router's predecessor, in settle order, and
+        the distance of every router reached.
+        """
+        indptr, indices, weights, comp = self._indptr, self._indices, self._weights, self._comp
+        pop, push = heapq.heappop, heapq.heappush
+        best = {seed: dist}
+        tentative = best.get
+        via = {seed: NO_PRED}
+        settled: Dict[int, int] = {}
+        heap = [(dist, seed)]
+        while heap:
+            d, u = pop(heap)
+            if u in settled:
+                continue
+            settled[u] = via[u]
+            for edge in range(indptr[u], indptr[u + 1]):
+                v = indices[edge]
+                if v in settled or comp[v] != region:
+                    continue
+                nd = d + weights[edge]
+                old = tentative(v)
+                if old is None or nd < old:
+                    best[v] = nd
+                    via[v] = u
+                    push(heap, (nd, v))
+                elif nd == old and u > via[v]:  # ties: the highest-numbered predecessor
+                    via[v] = u
+        return settled, best
+
+    def _shared_tree(self, c: int) -> Optional[Tuple[array, array]]:
+        """Component ``c``'s tree grown from its head, ``(routers,
+        predecessors)`` without the head, when every source entering ``c``
+        at its head grows exactly this tree; else ``None``.
+
+        A source enters at some offset ``D``, its sum to the head, and
+        Dijkstra's predecessors inside ``c`` depend on ``D`` only through
+        rounding.  Grown here at offset 0, the tree is shared when every
+        router's predecessor beats each other neighbor in ``c`` by more
+        than rounding can move: each side is a sum of at most ``|c|``
+        additions below ``2 W`` (``W`` the total link weight, which bounds
+        ``D`` and any path in ``c``), so the margin must exceed ``8 |c| u
+        W`` (``u`` = 2**-53).  Then the offset-``D`` sums along this tree
+        satisfy Dijkstra's equations with a unique minimum at every
+        router, so they are its distances and this tree is its tree, for
+        any ``D``.  (Routers outside ``c`` are reachable only through it, so
+        they are farther and never a predecessor inside it.)  A component
+        with a tie or a near-tie is grown per source instead; one that is
+        its head alone has nothing to share or to keep.
+        """
+        if c in self._shared:
+            return self._shared[c]
+        indptr, indices, weights, comp = self._indptr, self._indices, self._weights, self._comp
+        head = self._head[c]
+        if all(comp[indices[edge]] != c for edge in range(indptr[head], indptr[head + 1])):
+            return _ALONE
+        settled, best = self._dijkstra(head, 0.0, c)
+        rounding = 8 * len(settled) * _UNIT * self._total_weight
+        shared: Optional[Tuple[array, array]] = None
+        if all(
+            indices[edge] == parent
+            or comp[indices[edge]] != c
+            or best[indices[edge]] + weights[edge] - best[v] > rounding
+            for v, parent in settled.items()
+            if parent != NO_PRED
+            for edge in range(indptr[v], indptr[v + 1])
+        ):
+            routers = [v for v, parent in settled.items() if parent != NO_PRED]
+            shared = (
+                array("i", routers),
+                array(self._pred_code, [settled[v] for v in routers]),
+            )
+        self._shared[c] = shared
+        return shared
+
+    def _enter(self, root: int, pred: array, near: int, far: int) -> None:
+        """Settle the component beyond bridge ``near``-``far`` in ``root``'s tree."""
+        c = self._comp[far]
+        pred[far] = near
+        shared = self._shared_tree(c) if far == self._head[c] else None
+        if shared is not None:
+            for v, parent in zip(*shared):
+                pred[v] = parent
+            return
+        # Beyond a bridge, a router's distance builds on the tree's sum to
+        # the far end: the region behind it is reachable only through it.
+        settled, _ = self._dijkstra(far, self._tree_delay(root, far), c)
+        for v, parent in settled.items():
+            pred[v] = parent
+        pred[far] = near
+
+    def _next_bridge(self, root: int, pred: array, target: int) -> Optional[Tuple[int, int]]:
+        """The uncrossed bridge ``(near, far)`` on the way from ``root``'s
+        tree to ``target``; ``None`` when no path exists.
+
+        The tree holds whole components, connected in the bridge forest
+        and including the source's.  From the target's component walk up
+        the forest: a component the tree holds, below the lowest common
+        ancestor with the source's, means the bridge down from it; else
+        the tree stops below that ancestor on the source's side, and the
+        bridge leads up.
+        """
+        comp, tin, tout, head, up = self._comp, self._tin, self._tout, self._head, self._up
+        root_in, root_comp = tin[root], comp[root]
+        c, child = comp[target], -1
+        while True:
+            h = head[c]
+            if tin[h] <= root_in <= tout[h] or pred[h] >= 0:
+                break
+            if up[c] < 0:
+                return None  # another connected piece
+            c, child = comp[up[c]], c
+        if c == root_comp or pred[head[c]] >= 0:
+            return up[child], head[child]
+        c = root_comp
+        while pred[up[c]] >= 0:
+            c = comp[up[c]]
+        return head[c], up[c]
+
+    def _tree_to(self, root: int, target: int) -> array:
+        """``root``'s tree, solved if new and grown until it holds ``target``
+        if any path reaches it."""
+        pred = self._trees.get(root)
+        if pred is None:
+            pred = self._trees[root] = array(self._pred_code, [NO_PRED]) * self.n_nodes
+            self._summed[root] = {}
+            settled, _ = self._dijkstra(root, 0.0, self._comp[root])
+            for v, parent in settled.items():
+                pred[v] = parent
+        while target != root and pred[target] < 0:
+            bridge = self._next_bridge(root, pred, target)
+            if bridge is None:
+                break
+            self._enter(root, pred, *bridge)
+        return pred
 
     def _tree_delay(self, root: int, target: int) -> float:
         """Delay from ``root`` to ``target``, summed along ``root``'s tree."""
@@ -102,7 +340,7 @@ class RoutingTable:
             parent = pred[node]
         if node != root:
             return math.inf  # the walk stopped at the sentinel of an unreachable router
-        # From the source end, the order scipy added them in: its row, bit for bit.
+        # From the source end, the order Dijkstra added them in: its row, bit for bit.
         total = 0.0
         for weight in reversed(hops):
             total += weight
@@ -111,10 +349,55 @@ class RoutingTable:
     def delays_from(self, src: int) -> np.ndarray:
         """All-destination delay vector from router ``src``.
 
-        Computed afresh on every call: distance rows are not kept.  The
-        tree of ``src`` is kept, as for any other solved source.
+        Grows ``src``'s tree into every component it reaches and returns
+        each router's delay as its predecessor's plus the link, the sum
+        ``delay`` forms along the tree, bit for bit.  The row is not kept;
+        the grown tree is, as ``src``'s.
         """
-        return self._solve(src)
+        pred = self._tree_to(src, src)
+        comp, head, up = self._comp, self._head, self._up
+        # Up the bridge forest first, each ancestor entered from below ...
+        c = comp[src]
+        while up[c] >= 0:
+            if pred[up[c]] < 0:
+                self._enter(src, pred, head[c], up[c])
+            c = comp[up[c]]
+        # ... then down.  A piece's components are numbered in preorder from
+        # its first, so a component's parent is in before it is; a component
+        # of one router takes the near end of its bridge as predecessor.
+        heads = np.frombuffer(self._head, dtype=np.int32)
+        ups = np.frombuffer(self._up, dtype=np.int32)
+        rows = np.frombuffer(pred, dtype=pred.typecode)
+        end = c + 1 + int(np.argmax(np.r_[ups[c + 1 :], -1] < 0))
+        below = np.arange(c + 1, end)
+        below = below[(rows[heads[below]] < 0) & (heads[below] != src)]
+        size = np.bincount(np.frombuffer(self._comp, dtype=np.int32))[below]
+        rows[heads[below[size == 1]]] = ups[below[size == 1]]
+        for d in below[size > 1].tolist():
+            self._enter(src, pred, up[d], head[d])
+        # A router's delay is its predecessor's plus the link, the sum
+        # ``delay`` forms along the tree, bit for bit; a tree level at a time
+        # from the source down, the levels found by pointer doubling.
+        n = self.n_nodes
+        indptr = np.frombuffer(self._indptr, dtype=np.int32)
+        links = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n
+        links += np.frombuffer(self._indices, dtype=np.int32)
+        parent = np.frombuffer(pred, dtype=pred.typecode).astype(np.int64)
+        child = np.flatnonzero(parent >= 0)
+        hop = np.frombuffer(self._weights)[np.searchsorted(links, child * n + parent[child])]
+        jump = np.where(parent >= 0, parent, np.arange(n))
+        depth = (parent >= 0).astype(np.int64)
+        while depth[jump].any():
+            depth += depth[jump]
+            jump = jump[jump]
+        by_depth = np.argsort(depth[child])
+        child, hop = child[by_depth], hop[by_depth]
+        cuts = np.flatnonzero(np.diff(depth[child])) + 1
+        row = np.full(n, np.inf)
+        row[src] = 0.0
+        for level, step in zip(np.split(child, cuts), np.split(hop, cuts)):
+            row[level] = row[parent[level]] + step
+        return row
 
     def delay(self, src: int, dst: int) -> float:
         """Shortest-path delay between two routers (milliseconds)."""
@@ -129,21 +412,19 @@ class RoutingTable:
         elif dst in self._trees:
             root, target = dst, src
         else:
-            self._solve(src)
             root, target = src, dst
-        summed = self._summed[root]
-        delay = summed.get(target)
+        summed = self._summed.get(root)
+        delay = None if summed is None else summed.get(target)
         if delay is None:
-            delay = summed[target] = self._tree_delay(root, target)
+            self._tree_to(root, target)
+            delay = self._summed[root][target] = self._tree_delay(root, target)
         return delay
 
     def path(self, src: int, dst: int) -> List[int]:
         """Router sequence of the shortest path, inclusive of endpoints."""
         if src == dst:
             return [src]
-        if src not in self._trees:
-            self._solve(src)
-        pred = self._trees[src]
+        pred = self._tree_to(src, dst)
         if pred[dst] < 0:
             raise ValueError(f"no path from {src} to {dst}")
         path = [dst]
@@ -155,5 +436,5 @@ class RoutingTable:
         return path
 
     def cache_size(self) -> int:
-        """Number of solved sources (one Dijkstra run each)."""
+        """Number of solved sources (one tree each, however far grown)."""
         return len(self._trees)
