@@ -11,7 +11,7 @@ Two layers of the same question:
   vs eager splicing);
 * the **online campaign** benchmark drives whole fabrics through
   epoch-fenced online reconfiguration under live traffic
-  (:mod:`repro.faults.churn`): what a switch costs in drained events and
+  (:mod:`repro.faults.campaign`): what a switch costs in drained events and
   how delivery throughput holds across epochs.
 """
 
@@ -21,7 +21,7 @@ from conftest import bench_runs
 
 from repro.core.sequencing_graph import SequencingGraph
 from repro.experiments.common import format_table
-from repro.faults.churn import ChurnConfig, execute_churn_campaign
+from repro.faults.campaign import CampaignConfig, execute_campaign
 from repro.workloads.zipf import zipf_membership
 
 
@@ -107,7 +107,7 @@ def test_online_reconfiguration_campaign(benchmark, save_result):
     is the reconfiguration's own, not failover's).
     """
     churn_events = 2 * bench_runs(20)
-    config = ChurnConfig(
+    config = CampaignConfig(
         hosts=48,
         groups=12,
         events=120,
@@ -118,6 +118,7 @@ def test_online_reconfiguration_campaign(benchmark, save_result):
         loss_rate=0.0,
         node_crashes=0,
         host_crashes=0,
+        link_outages=0,
         loss_windows=0,
         delay_spikes=0,
         permanent_crash=False,
@@ -125,7 +126,7 @@ def test_online_reconfiguration_campaign(benchmark, save_result):
     )
 
     run = benchmark.pedantic(
-        lambda: execute_churn_campaign(config), rounds=1, iterations=1
+        lambda: execute_campaign(config), rounds=1, iterations=1
     )
     report = run.report
     switches = [e["switch"] for e in report["epochs"] if e["switch"]]

@@ -21,10 +21,10 @@ Subcommands::
     repro chaos --runs 3 --seed 0    # seeded fault-injection campaigns with
                                      # failover; nonzero exit on violation
     repro chaos --churn 50 --switches 5
-                                     # sustained join/leave churn with
-                                     # online epoch-fenced reconfiguration,
-                                     # audited by the RT32x cross-epoch
-                                     # invariants (faults compose in)
+                                     # the same campaign under sustained
+                                     # join/leave churn: online epoch-fenced
+                                     # switches, audited by the RT32x
+                                     # cross-epoch invariants
     repro explain --stalls           # ordering forensics on a fixed-seed
                                      # chaos run (or --trace run.jsonl):
                                      # per-message journeys, blocking
@@ -290,13 +290,85 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 1 if result.violations else 0
 
 
-def _cmd_chaos_churn(args: argparse.Namespace) -> int:
-    from repro.faults.churn import ChurnConfig, run_churn_campaign
+def _chaos_text(report: dict) -> List[str]:
+    """A one-epoch campaign report: failovers, retransmissions, drops."""
+    latencies = [
+        f"{f['detection_latency_ms']:.1f}ms"
+        for f in report["failovers"]
+        if f["detection_latency_ms"] is not None
+    ]
+    by_cause = ", ".join(
+        f"{cause}={count}"
+        for cause, count in report["retransmissions"]["by_cause"].items()
+    )
+    lines = [
+        f"seed {report['config']['seed']}: "
+        f"{'ok' if report['ok'] else 'FAIL'} — "
+        f"published {report['published']}, "
+        f"delivered {report['delivered']}, "
+        f"failovers {len(report['failovers'])} "
+        f"(detection {', '.join(latencies) or 'n/a'}), "
+        f"retransmissions {report['retransmissions']['total']} "
+        f"({by_cause}), drops loss={report['drops']['loss']} "
+        f"outage={report['drops']['outage']}, "
+        f"link failures {report['link_failures']}"
+    ]
+    lines.extend(f"  {f['code']}: {f['message']}" for f in report["findings"])
+    live = report.get("live_monitor")
+    if live is not None:
+        agree = "agrees" if live["agrees_with_audit"] else "DISAGREES"
+        lines.append(
+            f"  live monitor: {len(live['alerts'])} alert(s) "
+            f"({live['violations']} violation(s), "
+            f"{live['warnings']} warning(s)) — "
+            f"{agree} with the post-hoc audit"
+        )
+    return lines
 
+
+def _churn_text(report: dict) -> List[str]:
+    """A churn campaign report: epochs, switch drains, delivery digest."""
+    drains = ", ".join(
+        str(e["switch"]["drain_events"]) for e in report["epochs"] if e["switch"]
+    )
+    lines = [
+        f"seed {report['config']['seed']}: "
+        f"{'ok' if report['ok'] else 'FAIL'} — "
+        f"{len(report['epochs'])} epoch(s), "
+        f"churn {report['churn_applied']}, "
+        f"published {report['published']}, "
+        f"delivered {report['delivered']}, "
+        f"failovers {report['failovers']}, "
+        f"drain events [{drains}], "
+        f"digest {report['delivery_digest'][:12]}"
+    ]
+    crash = report["mid_switch_crash"]
+    if crash:
+        lines.append(
+            f"  mid-switch crash: node {crash['node_id']} "
+            f"at {crash['at']:.1f}ms (permanent)"
+        )
+    lines.extend(f"  {f['code']}: {f['message']}" for f in report["findings"])
+    live = report.get("live_monitor")
+    if live is not None:
+        agree = "agrees" if live["agrees_with_audit"] else "DISAGREES"
+        lines.append(
+            f"  live monitor: {live['violations']} violation(s), "
+            f"{live['warnings']} warning(s) over "
+            f"{len(live['epoch_agreement'])} epoch(s) — "
+            f"{agree} with the post-hoc audit"
+        )
+    return lines
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.faults.campaign import CampaignConfig, run_campaign
+
+    churned = args.churn > 0
     reports = []
     failed = 0
     for run_index in range(args.runs):
-        config = ChurnConfig(
+        config = CampaignConfig(
             hosts=args.hosts,
             groups=args.groups,
             events=args.events,
@@ -305,100 +377,18 @@ def _cmd_chaos_churn(args: argparse.Namespace) -> int:
             seed=args.seed + run_index,
             horizon=args.horizon,
             loss_rate=args.loss,
+            max_retransmits=args.max_retransmits,
             heartbeat_interval=args.interval,
             suspect_after=args.suspect_after,
-            transfer_delay=args.transfer_delay,
+            # Churn campaigns draw no link outage: one is clean on seeds
+            # 0-9, but it would move every pinned churn report.
+            link_outages=0 if churned else CampaignConfig.link_outages,
             mid_switch_crash=not args.no_mid_switch_crash,
+            transfer_delay=args.transfer_delay,
             backend=args.backend,
         )
-        report = run_churn_campaign(config, live_monitor=args.live_monitor)
-        reports.append(report)
-        bad = not report["ok"]
-        if args.live_monitor and not report["live_monitor"]["agrees_with_audit"]:
-            bad = True
-        if bad:
-            failed += 1
-    payload = {
-        "runs": len(reports),
-        "failed": failed,
-        "ok": failed == 0,
-        "reports": reports,
-    }
-    if args.format == "json":
-        rendered = json.dumps(payload, indent=2)
-    else:
-        lines = []
-        for report in reports:
-            seed = report["config"]["seed"]
-            status = "ok" if report["ok"] else "FAIL"
-            switches = [e["switch"] for e in report["epochs"] if e["switch"]]
-            drains = ", ".join(
-                str(s["drain_events"]) for s in switches
-            )
-            lines.append(
-                f"seed {seed}: {status} — {len(report['epochs'])} epoch(s), "
-                f"churn {report['churn_applied']}, "
-                f"published {report['published']}, "
-                f"delivered {report['delivered']}, "
-                f"failovers {report['failovers']}, "
-                f"drain events [{drains}], "
-                f"digest {report['delivery_digest'][:12]}"
-            )
-            if report["mid_switch_crash"]:
-                crash = report["mid_switch_crash"]
-                lines.append(
-                    f"  mid-switch crash: node {crash['node_id']} "
-                    f"at {crash['at']:.1f}ms (permanent)"
-                )
-            for finding in report["findings"]:
-                lines.append(f"  {finding['code']}: {finding['message']}")
-            live = report.get("live_monitor")
-            if live is not None:
-                agree = "agrees" if live["agrees_with_audit"] else "DISAGREES"
-                lines.append(
-                    f"  live monitor: {live['violations']} violation(s), "
-                    f"{live['warnings']} warning(s) over "
-                    f"{len(live['epoch_agreement'])} epoch(s) — "
-                    f"{agree} with the post-hoc audit"
-                )
-        lines.append(
-            f"{len(reports)} churn run(s), {failed} failed"
-            + ("" if failed == 0 else " — invariant violations above")
-        )
-        rendered = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered + "\n")
-        print(f"churn report written to {args.out}")
-    else:
-        print(rendered)
-    return 0 if failed == 0 else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.churn > 0:
-        return _cmd_chaos_churn(args)
-    from repro.faults.campaign import ChaosConfig, run_campaign
-
-    reports = []
-    failed = 0
-    for run_index in range(args.runs):
-        config = ChaosConfig(
-            hosts=args.hosts,
-            groups=args.groups,
-            events=args.events,
-            seed=args.seed + run_index,
-            horizon=args.horizon,
-            loss_rate=args.loss,
-            heartbeat_interval=args.interval,
-            suspect_after=args.suspect_after,
-            transfer_delay=args.transfer_delay,
-            max_retransmits=args.max_retransmits,
-        )
         report = run_campaign(
-            config,
-            live_monitor=args.live_monitor,
-            mutate=args.monitor_mutate,
+            config, live_monitor=args.live_monitor, mutate=args.monitor_mutate
         )
         reports.append(report)
         bad = not report["ok"]
@@ -412,52 +402,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         "ok": failed == 0,
         "reports": reports,
     }
+    kind = "churn" if churned else "chaos"
     if args.format == "json":
         rendered = json.dumps(payload, indent=2)
     else:
-        lines = []
-        for report in reports:
-            seed = report["config"]["seed"]
-            latencies = [
-                f"{f['detection_latency_ms']:.1f}ms"
-                for f in report["failovers"]
-                if f["detection_latency_ms"] is not None
-            ]
-            by_cause = ", ".join(
-                f"{cause}={count}"
-                for cause, count in report["retransmissions"]["by_cause"].items()
-            )
-            status = "ok" if report["ok"] else "FAIL"
-            lines.append(
-                f"seed {seed}: {status} — published {report['published']}, "
-                f"delivered {report['delivered']}, "
-                f"failovers {len(report['failovers'])} "
-                f"(detection {', '.join(latencies) or 'n/a'}), "
-                f"retransmissions {report['retransmissions']['total']} "
-                f"({by_cause}), drops loss={report['drops']['loss']} "
-                f"outage={report['drops']['outage']}, "
-                f"link failures {report['link_failures']}"
-            )
-            for finding in report["findings"]:
-                lines.append(f"  {finding['code']}: {finding['message']}")
-            live = report.get("live_monitor")
-            if live is not None:
-                agree = "agrees" if live["agrees_with_audit"] else "DISAGREES"
-                lines.append(
-                    f"  live monitor: {len(live['alerts'])} alert(s) "
-                    f"({live['violations']} violation(s), "
-                    f"{live['warnings']} warning(s)) — "
-                    f"{agree} with the post-hoc audit"
-                )
+        render = _churn_text if churned else _chaos_text
+        lines = [line for report in reports for line in render(report)]
         lines.append(
-            f"{len(reports)} run(s), {failed} failed"
+            f"{len(reports)} {'churn ' if churned else ''}run(s), "
+            f"{failed} failed"
             + ("" if failed == 0 else " — invariant violations above")
         )
         rendered = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(rendered + "\n")
-        print(f"chaos report written to {args.out}")
+        print(f"{kind} report written to {args.out}")
     else:
         print(rendered)
     return 0 if failed == 0 else 1
@@ -477,9 +437,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         index = JourneyIndex(read_trace_jsonl(args.trace))
         source = f"trace {args.trace}"
     else:
-        from repro.faults.campaign import ChaosConfig, execute_campaign
+        from repro.faults.campaign import CampaignConfig, execute_campaign
 
-        config = ChaosConfig(
+        config = CampaignConfig(
             hosts=args.hosts,
             groups=args.groups,
             events=args.events,
@@ -487,7 +447,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             horizon=args.horizon,
         )
         run = execute_campaign(config)
-        index = JourneyIndex(run.fabric.trace)
+        index = JourneyIndex(run.fabrics[0].trace)
         source = f"chaos run (seed {args.seed})"
 
     sections: List[str] = []
@@ -824,7 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="seeded fault-injection campaigns with detection and failover",
+        help="seeded fault-injection campaigns with detection and failover, "
+        "optionally under membership churn",
     )
     chaos.add_argument("--hosts", type=int, default=24)
     chaos.add_argument("--groups", type=int, default=8)
@@ -860,8 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--churn", type=int, default=0, metavar="N",
-        help="run a churn campaign instead: N join/leave events composed "
-        "with online epoch-fenced reconfiguration (RT32x audited)",
+        help="compose N join/leave events with online epoch-fenced "
+        "reconfiguration (RT32x audited; the churn report); 0 = one epoch",
     )
     chaos.add_argument(
         "--switches", type=int, default=5,
@@ -869,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--backend", choices=("sim", "asyncio"), default="sim",
-        help="runtime backend for churn campaigns (with --churn)",
+        help="runtime backend: sim (deterministic) or asyncio (live timers)",
     )
     chaos.add_argument(
         "--no-mid-switch-crash", action="store_true",
@@ -886,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--monitor-mutate",
         choices=("skip-stamp", "drop-delivery", "dup-delivery"),
         default=None,
-        help="inject a seeded protocol mutation before the campaign "
+        help="inject a seeded protocol mutation into every epoch's fabric "
         "(monitor validation: the streaming monitors must fire)",
     )
     chaos.add_argument(

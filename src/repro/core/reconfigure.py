@@ -383,6 +383,7 @@ def reconfigure(
         # A fresh trace of the same shape: a bounded ring stays bounded.
         trace=Trace(enabled=fabric.trace.enabled, maxlen=fabric.trace.maxlen),
         retransmit_timeout=fabric.retransmit_timeout,
+        max_retransmits=fabric.max_retransmits,
         # The next epoch runs on a fresh backend of the same kind (for the
         # simulated backend this is exactly what the fabric would have
         # built itself, so fixed-seed runs are unchanged).

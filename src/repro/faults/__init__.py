@@ -10,23 +10,15 @@ The robustness layer of the reproduction (``docs/FAULTS.md``):
 * :mod:`repro.faults.failover` — standby selection and the glue turning
   a suspicion into a live :meth:`~repro.core.protocol.OrderingFabric.
   relocate_node` call.
-* :mod:`repro.faults.campaign` — seeded end-to-end chaos campaigns,
-  audited by :func:`repro.check.verify_run` (``repro chaos`` CLI).
-* :mod:`repro.faults.churn` — deterministic membership churn (seeded
-  join/leave arrivals over Zipf-popular groups) composed with online
-  epoch-fenced reconfiguration and the fault-plan DSL, audited by the
-  cross-epoch ``RT32x`` invariants (``repro chaos --churn``).
+* :mod:`repro.faults.churn` — deterministic membership churn: seeded
+  join/leave arrivals over Zipf-popular groups.
+* :mod:`repro.faults.campaign` — one driver for seeded campaigns over a
+  timeline of publishes, faults and membership changes, audited by the
+  ``RT3xx`` invariants (``repro chaos [--churn N]``).
 """
 
-from repro.faults.campaign import ChaosConfig, run_campaign
-from repro.faults.churn import (
-    ChurnConfig,
-    ChurnEvent,
-    ChurnPlan,
-    execute_churn_campaign,
-    random_churn,
-    run_churn_campaign,
-)
+from repro.faults.campaign import CampaignConfig, execute_campaign, run_campaign
+from repro.faults.churn import ChurnEvent, ChurnPlan, random_churn
 from repro.faults.detector import HeartbeatDetector
 from repro.faults.failover import choose_standby, fail_over, wire_failover
 from repro.faults.plan import (
@@ -42,8 +34,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "ChaosConfig",
-    "ChurnConfig",
+    "CampaignConfig",
     "ChurnEvent",
     "ChurnPlan",
     "CrashHost",
@@ -56,11 +47,10 @@ __all__ = [
     "LossWindow",
     "Partition",
     "choose_standby",
-    "execute_churn_campaign",
+    "execute_campaign",
     "fail_over",
     "random_churn",
     "random_plan",
     "run_campaign",
-    "run_churn_campaign",
     "wire_failover",
 ]

@@ -58,6 +58,11 @@ class FaultAction:
         if self.at < 0:
             raise ValueError(f"{self.KIND}: fire time must be >= 0, got {self.at}")
 
+    def _require_positive(self, name: str) -> None:
+        value = getattr(self, name)
+        if value <= 0:
+            raise ValueError(f"{self.KIND}: {name} must be positive, got {value}")
+
     def apply(self, fabric: "OrderingFabric") -> None:
         raise NotImplementedError
 
@@ -113,10 +118,7 @@ class CrashHost(FaultAction):
 
     def validate(self) -> None:
         super().validate()
-        if self.duration <= 0:
-            raise ValueError(
-                f"{self.KIND}: duration must be positive, got {self.duration}"
-            )
+        self._require_positive("duration")
 
     def apply(self, fabric: "OrderingFabric") -> None:
         fabric.host_processes[self.host_id].crash(self.duration)
@@ -148,10 +150,7 @@ class LinkOutage(FaultAction):
 
     def validate(self) -> None:
         super().validate()
-        if self.duration <= 0:
-            raise ValueError(
-                f"{self.KIND}: duration must be positive, got {self.duration}"
-            )
+        self._require_positive("duration")
         if self.src is None or self.dst is None or self.src == self.dst:
             raise ValueError(
                 f"{self.KIND}: needs two distinct endpoint names, "
@@ -185,10 +184,7 @@ class Partition(FaultAction):
 
     def validate(self) -> None:
         super().validate()
-        if self.duration <= 0:
-            raise ValueError(
-                f"{self.KIND}: duration must be positive, got {self.duration}"
-            )
+        self._require_positive("duration")
         if not self.side:
             raise ValueError(f"{self.KIND}: side must be non-empty")
 
@@ -230,26 +226,12 @@ class DelaySpike(FaultAction):
 
     def validate(self) -> None:
         super().validate()
-        if self.duration <= 0:
-            raise ValueError(
-                f"{self.KIND}: duration must be positive, got {self.duration}"
-            )
-        if self.factor <= 0:
-            raise ValueError(
-                f"{self.KIND}: factor must be positive, got {self.factor}"
-            )
-
-    def _targets(self, fabric: "OrderingFabric") -> List["Link"]:
-        channels = fabric.network.channels
-        return [
-            channels[key]
-            for key in sorted(channels, key=repr)
-            if self.name is None or self.name in key
-        ]
+        self._require_positive("duration")
+        self._require_positive("factor")
 
     def apply(self, fabric: "OrderingFabric") -> None:
         spiked = []
-        for channel in self._targets(fabric):
+        for channel in _channels_touching(fabric, self.name):
             spiked.append((channel, channel.delay))
             channel.delay = channel.delay * self.factor
         fabric.sim.schedule(self.duration, self._restore, spiked)
@@ -288,27 +270,16 @@ class LossWindow(FaultAction):
 
     def validate(self) -> None:
         super().validate()
-        if self.duration <= 0:
-            raise ValueError(
-                f"{self.KIND}: duration must be positive, got {self.duration}"
-            )
+        self._require_positive("duration")
         if not 0.0 < self.loss_rate < 1.0:
             raise ValueError(
                 f"{self.KIND}: loss_rate must be in (0, 1), got {self.loss_rate}"
             )
 
-    def _targets(self, fabric: "OrderingFabric") -> List["Link"]:
-        channels = fabric.network.channels
-        return [
-            channels[key]
-            for key in sorted(channels, key=repr)
-            if self.name is None or self.name in key
-        ]
-
     def apply(self, fabric: "OrderingFabric") -> None:
         rng = random.Random(self.seed)
         window = []
-        for channel in self._targets(fabric):
+        for channel in _channels_touching(fabric, self.name):
             window.append((channel, channel.loss_rate))
             if channel._rng is None:
                 channel._rng = rng
@@ -327,6 +298,17 @@ class LossWindow(FaultAction):
             "duration": self.duration,
             "name": repr(self.name) if self.name is not None else None,
         }
+
+
+def _channels_touching(fabric: "OrderingFabric", name: Any) -> List["Link"]:
+    """Every channel existing now (only those touching process ``name``
+    when given), in a deterministic order."""
+    channels = fabric.network.channels
+    return [
+        channels[key]
+        for key in sorted(channels, key=repr)
+        if name is None or name in key
+    ]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Tests for sustained-churn campaigns and the RT32x cross-epoch audit.
 
-Covers the churn driver (:mod:`repro.faults.churn`), the epoch-fence
+Covers the churn script (:mod:`repro.faults.churn`), campaigns with churn
+(:mod:`repro.faults.campaign`), the epoch-fence
 forensics cause, and the end-to-end acceptance scenario: ≥ 50 join/leave
 events composed with crash/partition faults — including a permanent
 crash landing mid-epoch-switch — completing with zero RT30x/RT32x
@@ -12,13 +13,8 @@ import random
 import pytest
 
 from repro.check.churn import verify_churn
-from repro.faults.churn import (
-    ChurnConfig,
-    ChurnPlan,
-    execute_churn_campaign,
-    random_churn,
-    run_churn_campaign,
-)
+from repro.faults.campaign import CampaignConfig, execute_campaign, run_campaign
+from repro.faults.churn import ChurnPlan, random_churn
 from repro.obs.forensics import CAUSE_EPOCH_SWITCH, JourneyIndex
 from repro.runtime.trace import Trace
 
@@ -155,17 +151,18 @@ def fast_config(**overrides):
         loss_rate=0.005,
         node_crashes=1,
         host_crashes=0,
+        link_outages=0,
         loss_windows=0,
         delay_spikes=0,
         permanent_crash=True,
         mid_switch_crash=True,
     )
     base.update(overrides)
-    return ChurnConfig(**base)
+    return CampaignConfig(**base)
 
 
 def test_small_campaign_clean_and_structured():
-    run = execute_churn_campaign(fast_config())
+    run = execute_campaign(fast_config())
     report = run.report
     assert report["ok"], report["findings"]
     assert report["quiescent"]
@@ -185,8 +182,8 @@ def test_small_campaign_clean_and_structured():
 
 
 def test_campaign_is_deterministic_across_runs():
-    first = run_churn_campaign(fast_config())
-    second = run_churn_campaign(fast_config())
+    first = run_campaign(fast_config())
+    second = run_campaign(fast_config())
     assert first["delivery_digest"] == second["delivery_digest"]
     assert first["churn"] == second["churn"]
     assert first["faults"] == second["faults"]
@@ -195,15 +192,15 @@ def test_campaign_is_deterministic_across_runs():
 
 
 def test_campaign_differs_across_seeds():
-    a = run_churn_campaign(fast_config())
-    b = run_churn_campaign(fast_config(seed=4))
+    a = run_campaign(fast_config())
+    b = run_campaign(fast_config(seed=4))
     assert a["delivery_digest"] != b["delivery_digest"]
 
 
 def test_publishes_deferred_not_dropped():
     # All configured events are published even when ticks land inside a
     # fence-drain blackout (they defer to the next epoch's start).
-    report = run_churn_campaign(fast_config(events=40, switches=3))
+    report = run_campaign(fast_config(events=40, switches=3))
     assert report["ok"], report["findings"]
     assert report["published"] == 40
 
@@ -212,22 +209,23 @@ def test_acceptance_scale_campaign():
     """ISSUE acceptance: >= 50 churn events composed with crash faults,
     a permanent crash mid-epoch-switch, zero RT30x/RT32x findings,
     deterministic across two runs."""
-    config = ChurnConfig(seed=0)  # defaults: 50 churn events, faults on
+    # 80 publishes, 50 churn events, every fault kind but link outages.
+    config = CampaignConfig(seed=0, events=80, churn_events=50, link_outages=0)
     assert config.churn_events >= 50
     assert config.mid_switch_crash and config.permanent_crash
-    first = run_churn_campaign(config)
+    first = run_campaign(config)
     assert first["ok"], first["findings"]
     assert first["churn_applied"] >= 50
     assert first["mid_switch_crash"] is not None
     assert first["quiescent"]
-    second = run_churn_campaign(config)
+    second = run_campaign(config)
     assert second["delivery_digest"] == first["delivery_digest"]
 
 
 def test_asyncio_backend_campaign_clean():
     """The live runtime passes the same invariants (not byte-identity:
     real timers jitter arrival order; see docs/FAULTS.md)."""
-    report = run_churn_campaign(
+    report = run_campaign(
         fast_config(
             backend="asyncio",
             time_scale=0.0003,
@@ -242,18 +240,19 @@ def test_asyncio_backend_campaign_clean():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ChurnConfig(hosts=2).validate()
+        CampaignConfig(hosts=2, churn_events=50).validate()
+    CampaignConfig(hosts=2).validate()  # two hosts suffice without churn
     with pytest.raises(ValueError):
-        ChurnConfig(backend="threads").validate()
+        CampaignConfig(backend="threads").validate()
     with pytest.raises(ValueError):
-        ChurnConfig(horizon=0.0).validate()
+        CampaignConfig(horizon=0.0).validate()
 
 
 def test_batches_empty_without_switches():
     assert ChurnPlan(events=[], switch_times=[]).batches() == []
-    report = run_churn_campaign(
+    run = execute_campaign(
         fast_config(switches=0, churn_events=0, mid_switch_crash=False)
     )
     # Degenerates to a single-epoch fault campaign; still clean.
-    assert report["ok"], report["findings"]
-    assert len(report["epochs"]) == 1
+    assert run.report["ok"], run.report["findings"]
+    assert len(run.fabrics) == 1

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults.campaign import ChaosConfig, execute_campaign
+from repro.faults.campaign import CampaignConfig, execute_campaign
 from repro.experiments.common import ExperimentEnv
 from repro.obs.exporters import trace_from_jsonl, trace_to_jsonl
 from repro.obs.forensics import (
@@ -31,7 +31,7 @@ from repro.runtime.trace import Trace
 
 #: Same shape as the CLI's inline `repro explain` run: small topology,
 #: enough traffic to cross the fault window and force real hold-backs.
-CONFIG = ChaosConfig(seed=0, hosts=16, groups=6, events=40, horizon=250.0)
+CONFIG = CampaignConfig(seed=0, hosts=16, groups=6, events=40, horizon=250.0)
 
 KNOWN_CAUSES = set(CAUSE_PRIORITY) | {CAUSE_IN_FLIGHT, CAUSE_LINK_FAILURE}
 
@@ -43,12 +43,12 @@ def chaos_run():
 
 @pytest.fixture(scope="module")
 def index(chaos_run):
-    return JourneyIndex(chaos_run.fabric.trace)
+    return JourneyIndex(chaos_run.fabrics[0].trace)
 
 
 class TestJourneyReconstruction:
     def test_every_published_message_has_a_journey(self, chaos_run, index):
-        assert set(index.journeys) == set(chaos_run.fabric.published)
+        assert set(index.journeys) == set(chaos_run.fabrics[0].published)
 
     def test_journeys_cover_ingress_atoms_distribution_receivers(self, index):
         complete = 0
@@ -332,7 +332,7 @@ class TestWaitGraph:
 class TestRoundTripAndDeterminism:
     def test_jsonl_rebuild_is_identical(self, chaos_run, index):
         rebuilt = JourneyIndex(
-            trace_from_jsonl(trace_to_jsonl(chaos_run.fabric.trace))
+            trace_from_jsonl(trace_to_jsonl(chaos_run.fabrics[0].trace))
         )
         live = json.dumps(index.stall_report(0.0), sort_keys=True)
         disk = json.dumps(rebuilt.stall_report(0.0), sort_keys=True)
@@ -347,7 +347,7 @@ class TestRoundTripAndDeterminism:
         assert waits_to_dot(index) == waits_to_dot(rebuilt)
 
     def test_same_seed_runs_are_byte_identical(self, index):
-        second = JourneyIndex(execute_campaign(CONFIG).fabric.trace)
+        second = JourneyIndex(execute_campaign(CONFIG).fabrics[0].trace)
         assert json.dumps(index.stall_report(0.0), sort_keys=True) == json.dumps(
             second.stall_report(0.0), sort_keys=True
         )
@@ -388,7 +388,7 @@ class TestCampaignForensics:
     def test_failing_campaign_attaches_stall_report(self):
         # Detection slowed far past the retransmit budget: traffic to the
         # crashed node is abandoned, findings appear, forensics attach.
-        config = ChaosConfig(
+        config = CampaignConfig(
             seed=0,
             hosts=16,
             groups=6,
@@ -402,7 +402,7 @@ class TestCampaignForensics:
         assert run.report["ok"] is False
         forensics = run.report["forensics"]
         assert forensics["buffer_events"] == len(
-            JourneyIndex(run.fabric.trace).buffer_events
+            JourneyIndex(run.fabrics[0].trace).buffer_events
         )
         assert json.loads(json.dumps(run.report)) == run.report
 
@@ -453,7 +453,7 @@ class TestExplainCli:
 
     def test_trace_file_source(self, chaos_run, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
-        path.write_text(trace_to_jsonl(chaos_run.fabric.trace) + "\n")
+        path.write_text(trace_to_jsonl(chaos_run.fabrics[0].trace) + "\n")
         assert main(["explain", "--trace", str(path), "--stalls"]) == 0
         out = capsys.readouterr().out
         assert "buffer event(s)" in out

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.check.explore import MUTATIONS
 from repro.check.invariants import fabric_view, verify_run
 from repro.experiments.common import ExperimentEnv
-from repro.faults.campaign import ChaosConfig, execute_campaign, run_campaign
-from repro.faults.churn import ChurnConfig, run_churn_campaign
+from repro.faults.campaign import CampaignConfig, execute_campaign, run_campaign
 from repro.obs.live import (
     MONITOR_RULES,
     LiveMonitor,
@@ -224,7 +224,7 @@ class TestMutationDetection:
 
 
 class TestCampaignIntegration:
-    CONFIG = ChaosConfig(
+    CONFIG = CampaignConfig(
         hosts=16, groups=6, events=40, seed=7, horizon=250.0
     )
 
@@ -242,7 +242,7 @@ class TestCampaignIntegration:
 
     def test_stall_warnings_carry_attributed_causes(self):
         # The CI smoke config: heavy enough that hold-back stalls occur.
-        config = ChaosConfig(
+        config = CampaignConfig(
             hosts=24, groups=8, events=80, seed=7, horizon=400.0
         )
         report = run_campaign(config, live_monitor=True)
@@ -285,15 +285,32 @@ class TestCampaignIntegration:
 
 class TestChurnIntegration:
     def test_per_epoch_agreement_across_switches(self):
-        config = ChurnConfig(
+        config = CampaignConfig(
             hosts=12, groups=4, events=30, churn_events=15, switches=2,
-            seed=5, horizon=300.0, mid_switch_crash=False,
+            seed=5, horizon=300.0, link_outages=0, mid_switch_crash=False,
         )
-        report = run_churn_campaign(config, live_monitor=True)
+        report = run_campaign(config, live_monitor=True)
         live = report["live_monitor"]
         assert live["agrees_with_audit"], live["epoch_agreement"]
         assert len(live["epoch_agreement"]) == len(report["epochs"])
         assert all(e["agrees"] for e in live["epoch_agreement"])
+
+    def test_mutated_churn_campaign_fires_and_still_agrees(self, tmp_path, capsys):
+        # The CI churn smoke with a mutation applied to every epoch's fabric.
+        out = tmp_path / "mutated-churn.json"
+        assert cli.main([
+            "chaos", "--churn", "12", "--switches", "2", "--hosts", "12",
+            "--groups", "4", "--events", "16", "--horizon", "120",
+            "--seed", "5", "--live-monitor", "--monitor-mutate",
+            "dup-delivery", "--format", "json", "--out", str(out),
+        ]) == 1
+        capsys.readouterr()
+        report = json.loads(out.read_text())["reports"][0]
+        assert not report["ok"]
+        assert report["mutation"] == "dup-delivery"
+        live = report["live_monitor"]
+        assert live["violations"] > 0
+        assert live["agrees_with_audit"], live["epoch_agreement"]
 
 
 class TestTelemetrySnapshot:

@@ -10,7 +10,7 @@ import pytest
 from repro import cli
 from repro.experiments.common import ExperimentEnv
 from repro.experiments.runner import run_selected
-from repro.faults.campaign import ChaosConfig, execute_campaign
+from repro.faults.campaign import CampaignConfig, execute_campaign
 from repro.obs import exporters
 from repro.obs.forensics import JourneyIndex
 from repro.obs.live import LiveMonitor, PhaseLatencyTracker
@@ -203,15 +203,15 @@ def test_observation_does_not_change_simulation_outcomes():
 def test_observation_does_not_change_forensics_output():
     """A chaos campaign reports the same outcome and the same stalls
     (the `repro explain` view) with the live monitor on as with it off."""
-    config = ChaosConfig(hosts=12, groups=4, events=20, seed=3, horizon=150.0)
+    config = CampaignConfig(hosts=12, groups=4, events=20, seed=3, horizon=150.0)
     plain = execute_campaign(config)
     watched = execute_campaign(config, live_monitor=True)
     report = dict(watched.report)
     assert report.pop("live_monitor")["agrees_with_audit"]
     assert report == plain.report
-    assert JourneyIndex(plain.fabric.trace).stall_report(
+    assert JourneyIndex(plain.fabrics[0].trace).stall_report(
         threshold=0.0
-    ) == JourneyIndex(watched.fabric.trace).stall_report(threshold=0.0)
+    ) == JourneyIndex(watched.fabrics[0].trace).stall_report(threshold=0.0)
 
 
 class TestCli:

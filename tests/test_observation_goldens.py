@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.faults.campaign import ChaosConfig, execute_campaign
+from repro.faults.campaign import CampaignConfig, execute_campaign
 from repro.obs.exporters import trace_from_jsonl, trace_to_jsonl
 from repro.obs.forensics import JourneyIndex
 from repro.obs.live.top import read_trace_jsonl
@@ -101,8 +101,8 @@ def visits_sha256(records) -> str:
 def test_chaos_visits_equal_the_seq_hop_records_they_replace():
     """Loss, crashes and failover: the visits derived from atom records
     hash as the 167 ``seq_hop`` records of the same campaign did."""
-    run = execute_campaign(ChaosConfig(hosts=24, groups=8, events=80, seed=7))
-    assert visits_sha256(run.fabric.trace) == (
+    run = execute_campaign(CampaignConfig(hosts=24, groups=8, events=80, seed=7))
+    assert visits_sha256(run.fabrics[0].trace) == (
         "5ec927044cf826662669bd8bf9677c5f525367535bd227e3f6bbb8ac6e3f058f"
     )
 
@@ -111,9 +111,11 @@ def test_chaos_live_monitor_report_bytes_unchanged(tmp_path, capsys):
     out = tmp_path / "chaos.json"
     assert cli.main(CHAOS + ["--out", str(out)]) == 0
     capsys.readouterr()
+    # 8f0f4b07… before ``config`` listed the one campaign config's fields;
+    # test_cli_goldens pins every byte outside ``config`` to that recording.
     assert (
         sha256(out)
-        == "8f0f4b0775936326eef8fe37e91a75e174aa3b6a08509e8c7a32145a25b8d68b"
+        == "c3d72acceca71df1a93c537d02ae7cab4075a6bcc3c9e60d90107e0e5d01ce0f"
     )
     live = json.loads(out.read_text())["reports"][0]["live_monitor"]
     assert live["agrees_with_audit"] is True
@@ -128,9 +130,10 @@ def test_dup_delivery_mutation_verdict_unchanged(tmp_path, capsys):
         CHAOS + ["--monitor-mutate", "dup-delivery", "--out", str(out)]
     ) == 1
     capsys.readouterr()
+    # 3c89263f… before ``config`` listed the one campaign config's fields.
     assert (
         sha256(out)
-        == "3c89263f0b048207be89f5cb66fcc20e47412991f9c72f5cfe46fab81c29d896"
+        == "b9f1d91cdfd1c924f0afdf12f53cf7301413cc5014bb0c0d680e326d454f4719"
     )
     report = json.loads(out.read_text())["reports"][0]
     codes = [finding["code"] for finding in report["findings"]]

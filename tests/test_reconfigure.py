@@ -66,6 +66,18 @@ def test_atom_counter_continues(env32):
     assert record.stamp.seq_of(atom) == 3
 
 
+def test_link_settings_carry_forward(env32):
+    fabric = env32.build_fabric(
+        base_membership(), loss_rate=0.01, retransmit_timeout=5.0, max_retransmits=2
+    )
+    nxt = reconfigure(fabric, copy_membership(fabric.membership))
+    assert (nxt.loss_rate, nxt.retransmit_timeout, nxt.max_retransmits) == (
+        0.01,
+        5.0,
+        2,
+    )
+
+
 def test_msg_ids_continue(env32):
     fabric = env32.build_fabric(base_membership())
     first = fabric.publish(0, 0)
