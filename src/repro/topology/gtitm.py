@@ -19,7 +19,7 @@ heuristic (Section 3.4) exploits.
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,14 @@ def generate_transit_stub(
 
     # Inter-domain links: a ring over domains (connectivity) plus one random
     # chord per domain when there are enough domains to need shortcuts.
+    linked: Set[Tuple[int, int]] = set()
+
     def domain_link(da: List[int], db: List[int]) -> None:
         u = rng.choice(da)
         v = rng.choice(db)
+        if (min(u, v), max(u, v)) in linked:
+            return  # already linked (a chord may redraw a ring link): list it once
+        linked.add((min(u, v), max(u, v)))
         delay = max(_euclid(coords[u], coords[v]), params.min_delay)
         edges.append((u, v, delay))
 

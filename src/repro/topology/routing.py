@@ -65,7 +65,14 @@ def _csr(topology: Topology) -> Tuple[array, array, array]:
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else order
-    delay = np.add.reduceat(listed[order, 2], first) if len(key) else listed[:, 2]
+    # Add each link's listings left to right (np.add.reduceat would add
+    # the tail of three or more pairwise, then to the head).
+    weights = listed[order, 2]
+    listings = np.diff(np.r_[first, len(key)])
+    delay = weights[first]
+    for k in range(1, int(listings.max(initial=1))):
+        more = listings > k
+        delay[more] += weights[first[more] + k]
     lo, hi = np.divmod(key[first], n)
     link = lo != hi
     rows = np.concatenate((lo, hi[link]))

@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro.core.reconfigure import reconfigure
 from repro.experiments.common import ExperimentEnv
-from repro.topology.gtitm import Topology, TransitStubParams, generate_transit_stub
+from repro.topology.gtitm import Topology
 from repro.topology.routing import RoutingTable
 from repro.workloads.zipf import zipf_membership
 from tests.test_routing_trees import FullRowRoutingTable, assert_same_answer, topology
@@ -278,16 +278,29 @@ def test_three_epoch_switches_on_the_paper_testbed():
 
 
 def test_a_link_listed_twice_routes_at_the_sum():
-    """Small seed 2 lists link 1-7 twice (once each way); like a sparse
-    matrix built from the list, the table routes it at twice its delay."""
-    topo = generate_transit_stub(TransitStubParams.small(), seed=2)
-    listed = Counter((min(u, v), max(u, v)) for u, v, _ in topo.edges)
-    assert [pair for pair, count in listed.items() if count > 1] == [(1, 7)]
-    (d,) = {d for u, v, d in topo.edges if {u, v} == {1, 7}}
+    """Links 1-2 and 2-4 are each listed twice (once each way); like a
+    sparse matrix built from the list, the table routes each at twice its
+    delay, so the 1.5 ms detour 1-3-2 beats the 1 ms link 1-2."""
+    topo = make_topology(
+        5,
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (1, 3, 0.75), (3, 2, 0.75),
+         (2, 4, 1.0), (4, 2, 1.0)],
+    )
     table, oracle = RoutingTable(topo), FullRowRoutingTable(topo)
-    assert table.neighbors(1).count(7) == 1
-    assert table.path(1, 7) == oracle.path(1, 7) == [1, 7]
-    assert table.delay(1, 7) == oracle.delay(1, 7) == 2 * d
-    for dst in range(topo.n_nodes):
-        assert_same_answer(table, oracle, "delay", 7, dst)
-        assert_same_answer(table, oracle, "path", 1, dst)
+    assert table.neighbors(1).count(2) == 1
+    assert table.path(1, 2) == oracle.path(1, 2) == [1, 3, 2]
+    assert table.delay(2, 4) == oracle.delay(2, 4) == 2.0
+    for src in range(topo.n_nodes):
+        for dst in range(topo.n_nodes):
+            assert_same_answer(table, oracle, "delay", src, dst)
+            assert_same_answer(table, oracle, "path", src, dst)
+
+
+def test_a_link_listed_three_times_sums_in_list_order():
+    """Three listings add left to right, as the oracle's sparse matrix
+    adds them: (a + b) + c, one ulp away from a + (b + c) here."""
+    a, b, c = 4.146485268696576, 10.275828746297652, 24.03342844568322
+    topo = make_topology(2, [(1, 0, a), (0, 1, b), (0, 1, c)])
+    assert (a + b) + c != a + (b + c)
+    table, oracle = RoutingTable(topo), FullRowRoutingTable(topo)
+    assert table.delay(0, 1) == oracle.delay(0, 1) == (a + b) + c

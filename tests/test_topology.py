@@ -74,6 +74,15 @@ def test_no_self_loops_or_duplicate_edges(small_topology):
         seen.add(key)
 
 
+def test_every_pair_is_listed_once():
+    """A chord between transit domains may redraw a pair the ring already
+    linked (small seeds 2, 8, 13 and 54 did); the generator lists it once."""
+    for seed in range(64):
+        edges = generate_transit_stub(TransitStubParams.small(), seed=seed).edges
+        pairs = [(min(u, v), max(u, v)) for u, v, _ in edges]
+        assert len(pairs) == len(set(pairs)), seed
+
+
 def test_stub_nodes_near_parent_transit(small_topology):
     params = TransitStubParams.small()
     for stub, (transit, _idx) in small_topology.stub_of.items():
