@@ -39,7 +39,10 @@ Checks (``RT3xx`` codes, tool ``runtime-verify``):
   delivered by all members of its group (``track_stability`` runs only).
 """
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -53,8 +56,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-import numpy as np
 
 from repro.check.findings import Finding
 
@@ -270,41 +271,34 @@ def _exactly_once(
     ]
     if not complete or not view.published:
         return findings
-    msg_ids = np.array(sorted(view.published), np.int64)
+    by_group: Dict[int, Set[int]] = {}
+    for msg_id, message in view.published.items():
+        by_group.setdefault(message.group, set()).add(msg_id)
+    member_of: Dict[int, List[int]] = {}
+    for group in by_group:
+        for member in view.members(group):
+            member_of.setdefault(member, []).append(group)
+    # message -> the members that never delivered it, ascending
+    missing: Dict[int, List[int]] = {}
+    for host_id in sorted(member_of):
+        log = view.delivered.get(host_id)
+        delivered = set(_ids_of(log)) if log else set()
+        for group in member_of[host_id]:
+            for msg_id in by_group[group] - delivered:
+                missing.setdefault(msg_id, []).append(host_id)
+    short = sorted(missing)
     if len(findings) >= MAX_FINDINGS_PER_CHECK:
         # The cap is tested after each message, so the first one still counts.
-        msg_ids = msg_ids[:1]
-    groups = [view.published[msg_id].group for msg_id in msg_ids.tolist()]
-    # One row per distinct group: which index rows are its members.
-    group_list = sorted(set(groups))
-    hosts = np.array(index.hosts, np.int64)
-    is_member = np.array(
-        [np.isin(hosts, sorted(view.members(g))) for g in group_list], bool
-    )
-    group_row = np.searchsorted(group_list, groups)
-    rows, which, _ = index.deliveries_of(msg_ids)
-    counted = is_member[group_row[which], rows]
-    reached = np.bincount(which[counted], minlength=len(msg_ids))
-    width = np.array([len(view.members(g)) for g in group_list])[group_row]
-    for i in np.flatnonzero(reached < width).tolist():
-        msg_id = int(msg_ids[i])
-        message = view.published[msg_id]
-        got = {index.hosts[row] for row in rows[which == i].tolist()}
-        missing = [
-            member
-            for member in sorted(view.members(message.group))
-            if member not in got
-        ]
+        short = short[:1] if short and short[0] == min(view.published) else []
+    for msg_id in short[: max(1, MAX_FINDINGS_PER_CHECK - len(findings))]:
         findings.append(
             _finding(
                 "RT302",
-                f"message {msg_id} (group {message.group}) never "
-                f"delivered at members {missing}",
+                f"message {msg_id} (group {view.published[msg_id].group}) never "
+                f"delivered at members {missing[msg_id]}",
                 f"msg {msg_id}",
             )
         )
-        if len(findings) >= MAX_FINDINGS_PER_CHECK:
-            break
     return findings
 
 
@@ -353,48 +347,25 @@ def check_publisher_fifo(run: RunLike) -> List[Finding]:
 
 
 class _DeliveryIndex:
-    """Where every host delivered every message, grouped by message.
+    """What every check that compares hosts needs of every host.
 
-    Built from each host's message-id column.  ``msgs``, ``rows`` and
-    ``positions`` are parallel arrays sorted by message id, then host: one
-    entry per message a host delivered, at the position in its log of its
-    last delivery.  So "where did each host deliver these messages" is one
-    gather (:meth:`positions_of`) instead of a dict probe per host and
-    message.  ``rows`` index :attr:`hosts`, which is sorted.
-    ``duplicates[host]`` lists, sorted, the messages a host delivered more
-    than once.  A host's ``{msg: position}`` dict is built only when asked
-    for (:meth:`positions_at`): for a host a finding has to name.
+    ``hosts`` are the hosts with a log, sorted.  ``duplicates[host]``
+    lists, sorted, the messages a host delivered more than once.  A
+    host's ``{msg: position}`` dict is built only when asked for
+    (:meth:`positions_at`): for a host a check has to look at closely.
     """
 
     def __init__(self, view: RunView):
         self.hosts = view.hosts()
         self._logs = view.delivered
         self._maps: Dict[int, Dict[int, int]] = {}
-        columns = [
-            np.asarray(_ids_of(self._logs[host_id]), np.int64)
-            for host_id in self.hosts
-        ]
-        lengths = np.array([len(column) for column in columns], np.int64)
-        msgs = np.concatenate(columns) if columns else np.empty(0, np.int64)
-        del columns
-        rows = np.repeat(np.arange(len(self.hosts), dtype=np.int32), lengths)
-        positions = (
-            np.arange(len(msgs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        ).astype(np.int32)
-        by_msg = np.argsort(msgs, kind="stable")
-        msgs, rows, positions = msgs[by_msg], rows[by_msg], positions[by_msg]
-        del by_msg
-        # A host's deliveries of one message are adjacent now, in log order:
-        # keep the last of each.
-        again = (msgs[1:] == msgs[:-1]) & (rows[1:] == rows[:-1])
         self.duplicates: Dict[int, List[int]] = {}
-        for row, msg_id in sorted(
-            set(zip(rows[1:][again].tolist(), msgs[1:][again].tolist()))
-        ):
-            self.duplicates.setdefault(self.hosts[row], []).append(msg_id)
-        last = np.ones(len(msgs), bool)
-        last[:-1] = ~again
-        self.msgs, self.rows, self.positions = msgs[last], rows[last], positions[last]
+        for host_id in self.hosts:
+            ids = _ids_of(self._logs[host_id])
+            if len(set(ids)) < len(ids):
+                self.duplicates[host_id] = sorted(
+                    msg_id for msg_id, times in Counter(ids).items() if times > 1
+                )
 
     def positions_at(self, host_id: int) -> Dict[int, int]:
         """Where ``host_id`` delivered each message it delivered (its last
@@ -407,71 +378,113 @@ class _DeliveryIndex:
             }
         return positions
 
-    def deliveries_of(
-        self, msg_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every delivery of each of ``msg_ids``, as parallel arrays: the
-        host's row, the index into ``msg_ids``, the position in the host's
-        log.  A message nobody delivered contributes nothing."""
-        begin = np.searchsorted(self.msgs, msg_ids, "left")
-        count = np.searchsorted(self.msgs, msg_ids, "right") - begin
-        which = np.repeat(np.arange(len(msg_ids)), count)
-        # The j-th delivery of msg_ids[i] sits at begin[i] + j.
-        flat = np.arange(len(which)) + np.repeat(
-            begin - (np.cumsum(count) - count), count
-        )
-        return self.rows[flat], which, self.positions[flat]
 
-    def positions_of(self, msg_ids: np.ndarray) -> np.ndarray:
-        """``table[row, i]``: where host ``row`` delivered ``msg_ids[i]``,
-        -1 where it did not."""
-        table = np.full((len(self.hosts), len(msg_ids)), -1, dtype=np.int32)
-        rows, which, positions = self.deliveries_of(msg_ids)
-        table[rows, which] = positions
-        return table
+def _groups_of(view: RunView) -> Dict[int, int]:
+    """The group each published message was published to."""
+    return {msg_id: message.group for msg_id, message in view.published.items()}
 
 
-def _msg_ids(entries: Sequence[Union[Delivery, PublishedEntry]]) -> np.ndarray:
-    return np.array(_ids_of(entries), np.int64)
+class _Suspects(NamedTuple):
+    """The host pairs that may disagree on the order of two messages.
+
+    Every pair with an ``odd`` host — one that delivered a message twice or
+    delivered a message never published — and each pair in ``partners``.
+    Any other pair agrees on every message pair it delivered.
+    """
+
+    odd: Set[int]
+    #: host -> the hosts it may disagree with (symmetric)
+    partners: Dict[int, Set[int]]
+
+    def of(self, host_id: int) -> Set[int]:
+        return self.partners.get(host_id, set())
+
+
+def _find_suspects(view: RunView, index: _DeliveryIndex) -> _Suspects:
+    """Host pairs that may disagree, found group pair by group pair.
+
+    Two hosts disagree on messages ``m1`` and ``m2`` only if both
+    delivered from ``m1``'s group and ``m2``'s, and then their logs
+    projected onto those two groups disagree on them.  So each host is
+    keyed, per pair of groups it delivered from (a group with itself
+    included), by its projection; hosts with equal projections agree on
+    that pair, and two projections are compared on their common messages
+    once, not once per pair of hosts holding them.  A correct run has one
+    projection per group pair and no suspect (DESIGN.md §4.2p).
+    """
+    group_of = _groups_of(view)
+    odd = set(index.duplicates)
+    #: (group, group) -> projection -> hosts holding it
+    holders: Dict[Tuple[int, int], Dict[Tuple[int, ...], List[int]]] = {}
+    for host_id in index.hosts:
+        if host_id in odd:
+            continue
+        ids = list(_ids_of(view.delivered[host_id]))
+        try:
+            labels = [group_of[msg_id] for msg_id in ids]
+        except KeyError:
+            odd.add(host_id)
+            continue
+        # Each group's log positions, ascending: one stable sort by group.
+        by_label = sorted(range(len(ids)), key=labels.__getitem__)
+        at: Dict[int, List[int]] = {}
+        start = 0
+        for group, count in sorted(Counter(labels).items()):
+            at[group] = by_label[start : start + count]
+            start += count
+        groups = list(at)
+        for i, first in enumerate(groups):
+            for second in groups[i:]:
+                merged = at[first] if first == second else sorted(at[first] + at[second])
+                holders.setdefault((first, second), {}).setdefault(
+                    tuple(map(ids.__getitem__, merged)), []
+                ).append(host_id)
+    partners: Dict[int, Set[int]] = {}
+    for by_projection in holders.values():
+        kinds = list(by_projection.items())
+        for i, (mine, hosts) in enumerate(kinds):
+            for theirs, others in kinds[i + 1 :]:
+                if not _same_common_order(mine, theirs):
+                    for host_id in hosts:
+                        partners.setdefault(host_id, set()).update(others)
+                    for host_id in others:
+                        partners.setdefault(host_id, set()).update(hosts)
+    return _Suspects(odd, partners)
+
+
+def _same_common_order(mine: Sequence[int], theirs: Sequence[int]) -> bool:
+    """Whether two projections order the messages they share alike."""
+    shared = set(mine) & set(theirs)
+    return [m for m in mine if m in shared] == [m for m in theirs if m in shared]
 
 
 def check_mutual_consistency(run: RunLike) -> List[Finding]:
     """RT305: pairwise agreement on the order of commonly delivered messages.
 
-    Two hosts that each delivered every message at most once agree iff,
-    read along one host's log, the other's positions of the same messages
-    only rise — one running maximum over a positions table per host tells
-    that for all of its partners.  Only the pairs it flags, and pairs with
-    a host that delivered something twice, are compared message by message.
+    Only the suspect pairs of :func:`_find_suspects` can disagree; each is
+    compared message by message, in host order.
     """
     view = as_run_view(run)
-    return _mutual_consistency(view, _DeliveryIndex(view))
+    index = _DeliveryIndex(view)
+    return _mutual_consistency(view, index, _find_suspects(view, index))
 
 
-def _mutual_consistency(view: RunView, index: _DeliveryIndex) -> List[Finding]:
+def _mutual_consistency(
+    view: RunView, index: _DeliveryIndex, suspects: _Suspects
+) -> List[Finding]:
     findings: List[Finding] = []
     host_ids = index.hosts
-    repeated = [host_id in index.duplicates for host_id in host_ids]
 
     def common_order(host_id: int, other: int) -> List[int]:
         theirs = index.positions_at(other)
         return [m for m in _ids_of(view.delivered[host_id]) if m in theirs]
 
     for row, a in enumerate(host_ids):
-        later = range(row + 1, len(host_ids))
-        if repeated[row]:
-            suspects: Iterable[int] = later
-        else:
-            seen = index.positions_of(_msg_ids(view.delivered[a]))[row + 1 :]
-            highest = np.maximum.accumulate(seen, axis=1)
-            falls = ((seen[:, 1:] >= 0) & (seen[:, 1:] < highest[:, :-1])).any(
-                axis=1
-            )
-            suspects = [
-                other for other in later if falls[other - row - 1] or repeated[other]
-            ]
-        for other in suspects:
-            b = host_ids[other]
+        later = host_ids[row + 1 :]
+        if a not in suspects.odd:
+            partners = suspects.of(a)
+            later = [b for b in later if b in suspects.odd or b in partners]
+        for b in later:
             if common_order(a, b) != common_order(b, a):
                 findings.append(
                     _finding(
@@ -498,40 +511,70 @@ def check_causal_order(run: RunLike) -> List[Finding]:
     The dependencies of ``m'`` are a prefix of its publisher's log taken
     in time order, so a host breaks the rule for ``m'`` iff the latest
     position at which it delivered any message of that prefix lies after
-    its position of ``m'``: one running maximum per publisher finds every
-    offending (message, host); only those name their dependencies.
+    its position of ``m'``: one running maximum per (publisher, host)
+    finds every offending (message, host); only those name their
+    dependencies.  When the publisher itself delivered ``m'`` once and
+    after the whole prefix, a host that agrees with it on every common
+    message pair (no RT305 suspect) delivers every dependency it shares
+    first, so only the publisher's suspects are looked at for ``m'``.
     """
     view = as_run_view(run)
-    return _causal_order(view, _DeliveryIndex(view))
+    index = _DeliveryIndex(view)
+    return _causal_order(view, index, _find_suspects(view, index))
 
 
-def _causal_order(view: RunView, index: _DeliveryIndex) -> List[Finding]:
+def _causal_order(
+    view: RunView, index: _DeliveryIndex, suspects: _Suspects
+) -> List[Finding]:
     by_sender: Dict[int, List[PublishedEntry]] = {}
     for message in view.published.values():
         by_sender.setdefault(message.sender, []).append(message)
+    row_of = {host_id: row for row, host_id in enumerate(index.hosts)}
     offending: List[Tuple[int, int]] = []
     for sender, messages in by_sender.items():
         log = view.delivered.get(sender)
         if not log:
             continue
-        times = np.array(_times_of(log), np.float64)
-        by_time = np.argsort(times, kind="stable")
+        times = _times_of(log)
         # Per message, how many of the sender's deliveries it depends on.
-        prefix = np.searchsorted(
-            times[by_time], [m.publish_time for m in messages], "left"
-        )
-        if not prefix.any():
+        in_time = sorted(times)
+        needs = [bisect_left(in_time, m.publish_time) for m in messages]
+        deepest = max(needs)
+        if not deepest:
             continue
-        latest = np.maximum.accumulate(
-            index.positions_of(_msg_ids(log)[by_time][: prefix.max()]), axis=1
-        )
-        published = _msg_ids(messages)
-        rows, which, positions = index.deliveries_of(published)
-        needs = prefix[which]
-        late = (needs > 0) & (latest[rows, needs - 1] > positions)
-        offending.extend(
-            zip(published[which[late]].tolist(), rows[late].tolist())
-        )
+        ids = _ids_of(log)
+        by_time = sorted(range(len(times)), key=times.__getitem__)[:deepest]
+        dependencies = [ids[i] for i in by_time]
+        # The sender's latest log position among its first k dependencies.
+        latest = list(accumulate(by_time, max))
+        own = {} if sender in suspects.odd else dict(zip(ids, range(len(ids))))
+        everywhere: List[Tuple[int, int]] = []
+        at_suspects: List[Tuple[int, int]] = []
+        for message, k in zip(messages, needs):
+            if k:
+                after = latest[k - 1] < own.get(message.msg_id, -1)
+                (at_suspects if after else everywhere).append((message.msg_id, k))
+        if everywhere:
+            rows: Iterable[int] = range(len(index.hosts))
+        else:
+            rows = sorted(row_of[h] for h in suspects.odd | suspects.of(sender))
+        for row in rows:
+            host_id = index.hosts[row]
+            pending = everywhere
+            if host_id in suspects.odd or host_id in suspects.of(sender):
+                pending = everywhere + at_suspects
+            if not pending:
+                continue
+            position = index.positions_at(host_id)
+            depth = max(k for _, k in pending)
+            highest = list(
+                accumulate((position.get(d, -1) for d in dependencies[:depth]), max)
+            )
+            offending.extend(
+                (msg_id, row)
+                for msg_id, k in pending
+                if msg_id in position and position[msg_id] < highest[k - 1]
+            )
     findings: List[Finding] = []
     for msg_id, row in sorted(offending):
         host_id = index.hosts[row]
@@ -615,7 +658,8 @@ def verify_run(
         Check pairwise cross-group agreement (RT305).
 
     Returns the (possibly empty) list of findings, deterministic in order.
-    RT301/RT302, RT305 and RT306 read one :class:`_DeliveryIndex`.
+    RT301/RT302, RT305 and RT306 read one :class:`_DeliveryIndex`, and
+    RT305 and RT306 one set of suspect host pairs.
     """
     view = as_run_view(run)
     index = _DeliveryIndex(view)
@@ -624,9 +668,11 @@ def verify_run(
     findings.extend(_exactly_once(view, index, complete))
     findings.extend(check_no_residual_buffering(view))
     findings.extend(check_publisher_fifo(view))
+    if mutual or causal:
+        suspects = _find_suspects(view, index)
     if mutual:
-        findings.extend(_mutual_consistency(view, index))
+        findings.extend(_mutual_consistency(view, index, suspects))
     if causal:
-        findings.extend(_causal_order(view, index))
+        findings.extend(_causal_order(view, index, suspects))
     findings.extend(check_stability(view))
     return findings

@@ -446,15 +446,21 @@ def _delivered(fabric: Any) -> int:
 def _chaos_report(config: CampaignConfig, run: CampaignRun, quiescent: bool) -> Dict[str, Any]:
     """The one-epoch report: failover, detector and link-layer detail."""
     fabric, detector = run.fabrics[0], run.detectors[0]
-    # Detection latency: first suspicion minus first crash, per crashed node.
-    crash_at: Dict[int, float] = {}
+    # Detection latency: the suspicion a failover answered minus the last
+    # crash of its node at or before it; none for a suspicion before any
+    # crash (a healthy node suspected) or a failover no suspicion caused.
+    crashes: Dict[int, List[float]] = {}
     for action in run.plan.sorted_actions():
         if isinstance(action, CrashNode):
-            crash_at.setdefault(action.node_id, action.at)
-    latencies: Dict[int, float] = {}
-    for time, node_id, _silence in detector.suspicions:
-        if node_id in crash_at:
-            latencies.setdefault(node_id, time - crash_at[node_id])
+            crashes.setdefault(action.node_id, []).append(action.at)
+    suspected = {(time, node_id) for time, node_id, _silence in detector.suspicions}
+
+    def detection_latency(time: float, node_id: int) -> Optional[float]:
+        before = [at for at in crashes.get(node_id, ()) if at <= time]
+        if (time, node_id) not in suspected or not before:
+            return None
+        return time - max(before)
+
     return {
         "config": asdict(config),
         "published": len(fabric.published),
@@ -467,7 +473,7 @@ def _chaos_report(config: CampaignConfig, run: CampaignRun, quiescent: bool) -> 
                 "old_machine": record.old_machine,
                 "new_machine": record.new_machine,
                 "replayed": record.replayed,
-                "detection_latency_ms": latencies.get(record.node_id),
+                "detection_latency_ms": detection_latency(record.time, record.node_id),
             }
             for record in fabric.failovers
         ],

@@ -38,9 +38,8 @@ link counts do.
 import heapq
 import math
 from array import array
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.topology.gtitm import Topology
 
@@ -59,31 +58,26 @@ def _csr(topology: Topology) -> Tuple[array, array, array]:
     its listings, in list order, so it routes at that sum.
     """
     n = topology.n_nodes
-    listed = np.array(topology.edges, dtype=np.float64).reshape(-1, 3)
-    ends = listed[:, :2].astype(np.int64)
-    key = ends.min(axis=1) * n + ends.max(axis=1)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else order
-    # Add each link's listings left to right (np.add.reduceat would add
-    # the tail of three or more pairwise, then to the head).
-    weights = listed[order, 2]
-    listings = np.diff(np.r_[first, len(key)])
-    delay = weights[first]
-    for k in range(1, int(listings.max(initial=1))):
-        more = listings > k
-        delay[more] += weights[first[more] + k]
-    lo, hi = np.divmod(key[first], n)
-    link = lo != hi
-    rows = np.concatenate((lo, hi[link]))
-    cols = np.concatenate((hi, lo[link]))
-    order = np.argsort(rows * n + cols)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # Link (low, high) as the key low * n + high.
+    summed: Dict[int, float] = {}
+    for u, v, delay in topology.edges:
+        link = u * n + v if u <= v else v * n + u
+        if link in summed:
+            summed[link] = float(summed[link]) + float(delay)
+        else:
+            summed[link] = delay
+    # Each link both ways, as row * n + col: sorted, the keys are the rows
+    # in order, each row's neighbors ascending.
+    both = {(link % n) * n + link // n: delay for link, delay in summed.items()}
+    both.update(summed)
+    order = sorted(both)
+    degree = [0] * n
+    for link in order:
+        degree[link // n] += 1
     return (
-        array("i", indptr.tobytes()),
-        array("i", cols[order].astype(np.int32).tobytes()),
-        array("d", np.concatenate((delay, delay[link]))[order].tobytes()),
+        array("i", accumulate(degree, initial=0)),
+        array("i", [link % n for link in order]),
+        array("d", map(both.__getitem__, order)),
     )
 
 
@@ -353,7 +347,7 @@ class RoutingTable:
             total += weight
         return total
 
-    def delays_from(self, src: int) -> np.ndarray:
+    def delays_from(self, src: int) -> array:
         """All-destination delay vector from router ``src``.
 
         Grows ``src``'s tree into every component it reaches and returns
@@ -370,40 +364,37 @@ class RoutingTable:
                 self._enter(src, pred, head[c], up[c])
             c = comp[up[c]]
         # ... then down.  A piece's components are numbered in preorder from
-        # its first, so a component's parent is in before it is; a component
-        # of one router takes the near end of its bridge as predecessor.
-        heads = np.frombuffer(self._head, dtype=np.int32)
-        ups = np.frombuffer(self._up, dtype=np.int32)
-        rows = np.frombuffer(pred, dtype=pred.typecode)
-        end = c + 1 + int(np.argmax(np.r_[ups[c + 1 :], -1] < 0))
-        below = np.arange(c + 1, end)
-        below = below[(rows[heads[below]] < 0) & (heads[below] != src)]
-        size = np.bincount(np.frombuffer(self._comp, dtype=np.int32))[below]
-        rows[heads[below[size == 1]]] = ups[below[size == 1]]
-        for d in below[size > 1].tolist():
-            self._enter(src, pred, up[d], head[d])
+        # its first, so a component's parent is in before it is.
+        for d in range(c + 1, len(head)):
+            if up[d] < 0:
+                break
+            if pred[head[d]] < 0 and head[d] != src:
+                self._enter(src, pred, up[d], head[d])
         # A router's delay is its predecessor's plus the link, the sum
-        # ``delay`` forms along the tree, bit for bit; a tree level at a time
-        # from the source down, the levels found by pointer doubling.
-        n = self.n_nodes
-        indptr = np.frombuffer(self._indptr, dtype=np.int32)
-        links = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n
-        links += np.frombuffer(self._indices, dtype=np.int32)
-        parent = np.frombuffer(pred, dtype=pred.typecode).astype(np.int64)
-        child = np.flatnonzero(parent >= 0)
-        hop = np.frombuffer(self._weights)[np.searchsorted(links, child * n + parent[child])]
-        jump = np.where(parent >= 0, parent, np.arange(n))
-        depth = (parent >= 0).astype(np.int64)
-        while depth[jump].any():
-            depth += depth[jump]
-            jump = jump[jump]
-        by_depth = np.argsort(depth[child])
-        child, hop = child[by_depth], hop[by_depth]
-        cuts = np.flatnonzero(np.diff(depth[child])) + 1
-        row = np.full(n, np.inf)
+        # ``delay`` forms along the tree, bit for bit: each router is summed
+        # after the routers above it, walking up to the nearest one done.
+        indptr, indices, weights = self._indptr, self._indices, self._weights
+        row = array("d", [math.inf]) * self.n_nodes
         row[src] = 0.0
-        for level, step in zip(np.split(child, cuts), np.split(hop, cuts)):
-            row[level] = row[parent[level]] + step
+        done = bytearray(self.n_nodes)
+        done[src] = 1
+        for start in range(self.n_nodes):
+            if done[start] or pred[start] < 0:
+                continue
+            chain: List[int] = []
+            v = start
+            while not done[v]:
+                chain.append(v)
+                v = pred[v]
+            total = row[v]
+            for v in reversed(chain):
+                parent = pred[v]
+                edge = indptr[v]
+                while indices[edge] != parent:
+                    edge += 1
+                total += weights[edge]
+                row[v] = total
+                done[v] = 1
         return row
 
     def delay(self, src: int, dst: int) -> float:

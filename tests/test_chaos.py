@@ -49,6 +49,22 @@ def test_campaign_acceptance_criterion():
     assert report["published"] == FAST["events"]
 
 
+def test_detection_latency_is_measured_from_the_suspicion_that_failed_over():
+    """Seed 7 suspects every sequencing node just before node 0's
+    permanent crash; the failover that answers the crash comes later."""
+    report = run_campaign(CampaignConfig(hosts=24, groups=8, events=80, seed=7))
+    crash = next(f for f in report["faults"] if f["kind"] == "crash_node")
+    early = [f for f in report["failovers"] if f["time"] < crash["at"]]
+    late = [f for f in report["failovers"] if f["time"] >= crash["at"]]
+    assert early and late
+    assert all(f["detection_latency_ms"] is None for f in early)
+    answer = [f for f in late if f["node_id"] == crash["node_id"]]
+    assert [f["detection_latency_ms"] for f in answer] == [
+        f["time"] - crash["at"] for f in answer
+    ]
+    assert all(f["detection_latency_ms"] > 0 for f in answer)
+
+
 def test_campaign_deterministic():
     a = run_campaign(CampaignConfig(seed=5, **FAST))
     b = run_campaign(CampaignConfig(seed=5, **FAST))

@@ -111,11 +111,12 @@ def test_chaos_live_monitor_report_bytes_unchanged(tmp_path, capsys):
     out = tmp_path / "chaos.json"
     assert cli.main(CHAOS + ["--out", str(out)]) == 0
     capsys.readouterr()
-    # 8f0f4b07… before ``config`` listed the one campaign config's fields;
-    # test_cli_goldens pins every byte outside ``config`` to that recording.
+    # 8f0f4b07… before ``config`` listed the one campaign config's fields,
+    # c3d72acc… before detection latency was measured from the suspicion
+    # that failed over; test_cli_goldens pins every byte outside ``config``.
     assert (
         sha256(out)
-        == "c3d72acceca71df1a93c537d02ae7cab4075a6bcc3c9e60d90107e0e5d01ce0f"
+        == "fc45ecedbe1d21062b426cca1b577573a8dcc6a23f845e86053ae6f10d9f6ec8"
     )
     live = json.loads(out.read_text())["reports"][0]["live_monitor"]
     assert live["agrees_with_audit"] is True
@@ -130,10 +131,12 @@ def test_dup_delivery_mutation_verdict_unchanged(tmp_path, capsys):
         CHAOS + ["--monitor-mutate", "dup-delivery", "--out", str(out)]
     ) == 1
     capsys.readouterr()
-    # 3c89263f… before ``config`` listed the one campaign config's fields.
+    # 3c89263f… before ``config`` listed the one campaign config's fields,
+    # b9f1d91c… before detection latency was measured from the suspicion
+    # that failed over.
     assert (
         sha256(out)
-        == "b9f1d91cdfd1c924f0afdf12f53cf7301413cc5014bb0c0d680e326d454f4719"
+        == "b8d68bebdfb0dbf6e138d04e02b2b18d77cdad0502db0a34eca87ee3dd568286"
     )
     report = json.loads(out.read_text())["reports"][0]
     codes = [finding["code"] for finding in report["findings"]]

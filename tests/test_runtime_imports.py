@@ -1,9 +1,10 @@
 """Runtime import guard: nothing a run, the service or ``repro check``
-executes imports scipy.
+executes imports scipy or numpy.
 
-scipy is a test-only dependency (the routing oracles use it); the
-runtime needs numpy alone.  A fresh process drives each runtime surface
-once and reports the scipy modules it loaded.
+scipy and numpy are test-only dependencies (the routing, audit and
+statistics oracles use them); the runtime needs the standard library
+alone.  A fresh process drives each runtime surface once and reports the
+scipy and numpy modules it loaded.
 """
 
 import json
@@ -28,8 +29,12 @@ sent = env.run_one_message_per_membership(fabric, isolate=True)
 failures = asyncio.run(run_self_test(n_hosts=4))
 with contextlib.redirect_stdout(io.StringIO()):
     check = main(["check", "--format", "json"])
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"sent": sent, "failures": failures, "check": check, "scipy": loaded}))
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+print(json.dumps({
+    "sent": sent, "failures": failures, "check": check,
+    "scipy": loaded("scipy"), "numpy": loaded("numpy"),
+}))
 """
 
 
@@ -42,3 +47,4 @@ def test_runtime_surfaces_never_import_scipy():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["sent"] > 0 and report["failures"] == [] and report["check"] == 0
     assert report["scipy"] == []
+    assert report["numpy"] == []
