@@ -121,8 +121,7 @@ class CentralSequencerFabric(BaselineFabric):
         best_router = routers[0]
         best_mean = None
         for candidate in routers:
-            delays = self.routing.delays_from(candidate)
-            mean = sum(float(delays[r]) for r in routers) / len(routers)
+            mean = sum(self.routing.delays_to(candidate, routers)) / len(routers)
             if best_mean is None or mean < best_mean:
                 best_mean = mean
                 best_router = candidate

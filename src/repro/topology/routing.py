@@ -39,7 +39,7 @@ import heapq
 import math
 from array import array
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.topology.gtitm import Topology
 
@@ -396,6 +396,26 @@ class RoutingTable:
                 row[v] = total
                 done[v] = 1
         return row
+
+    def delays_to(self, src: int, targets: Iterable[int]) -> List[float]:
+        """``delays_from(src)[t]`` for each router ``t`` of ``targets``, bit
+        for bit, growing ``src``'s tree only as far as they need.
+
+        Each is summed along ``src``'s tree as ``delay`` sums it, and kept
+        under ``src`` as ``delay`` keeps what it sums.  The tree does not
+        depend on how far it is grown: a component is entered through its
+        one bridge, at the tree's own sum to the far end.
+        """
+        self._tree_to(src, src)
+        summed = self._summed[src]
+        delays = []
+        for target in targets:
+            delay = summed.get(target)
+            if delay is None:
+                self._tree_to(src, target)
+                delay = summed[target] = self._tree_delay(src, target)
+            delays.append(delay)
+        return delays
 
     def delay(self, src: int, dst: int) -> float:
         """Shortest-path delay between two routers (milliseconds)."""

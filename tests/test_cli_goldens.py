@@ -16,6 +16,11 @@ sha256 of the output with each report's ``config`` removed, plus the
 config dicts the recording printed: every key printed then that is still
 printed keeps its value.  Only keys that no caller ever set may stop
 being printed.  Every other output is pinned in full.
+
+The ``trace run`` goldens were recorded on the commit before a trace stored
+one table per record shape: the JSONL export, the Chrome trace and the
+printed report with its two output paths replaced.  ``--metrics`` is left
+out: its GC and process collectors read the machine, not the run.
 """
 
 import hashlib
@@ -174,3 +179,39 @@ def test_cli_output_bytes(name, tmp_path, capsys):
     code, blob = _run(argv, tmp_path, capsys)
     assert code == exit_code
     assert _sha256(blob) == sha
+
+
+#: extra ``trace run`` arguments -> sha256 of (JSONL, Chrome trace, stdout)
+TRACE_RUN_GOLDENS = {
+    "default": (
+        [],
+        "ec63ad215ee1d3ce1f84db0902d27433c928df05b75c36ad1069975c5b6aee8f",
+        "3f558097ef0624a236e4b27228dfd3552cd96c9ab2f92e5fe777523104c3cdf4",
+        "7d738f4f641447dbb821a06b42e64543d4780db61e42f48e8c6f35a8b43c13f9",
+    ),
+    "burst": (
+        ["--gap", "0"],
+        "7a38cb1f188ee521bc10793f39e7c62eca5b06028869deb6a596941cc8b0edbd",
+        "7493a3e6a160166499fefc943428d38076a907c85214ac2d4bbeb24009c9ad15",
+        "18c43932147fec954963aee018553cbfb4c8cc36755c7ce908aee161987669ff",
+    ),
+    "h64-g16-e400": (
+        ["--hosts", "64", "--groups", "16", "--events", "400"],
+        "83755bf51ecc50d0e0ee371475ff51e2b242da51d79e476602d7a4872bbc29ab",
+        "b1c513a14ed13e6252c9d40eee7c7c1ce75e3712bdbc3ffc79494e6d8e2649aa",
+        "dc5675c0275381c58fcc72a00c6301ccd623393e3ab6c959fe81692f2f84661a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_RUN_GOLDENS))
+def test_trace_run_bytes(name, tmp_path, capsys):
+    extra, jsonl_sha, chrome_sha, stdout_sha = TRACE_RUN_GOLDENS[name]
+    jsonl, chrome = tmp_path / "run.jsonl", tmp_path / "run.trace.json"
+    code = cli.main(["trace", "run", *extra, "--out", str(jsonl), "--chrome", str(chrome)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(jsonl.read_bytes()) == jsonl_sha
+    assert _sha256(chrome.read_bytes()) == chrome_sha
+    stdout = stdout.replace(str(jsonl), "<out>").replace(str(chrome), "<chrome>")
+    assert _sha256(stdout.encode()) == stdout_sha

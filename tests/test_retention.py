@@ -131,13 +131,14 @@ def record_all(trace: Trace, shape: Shape, rows: list) -> None:
 )
 def test_a_record_retains_its_values_and_slots_only(shape, row):
     """Bytes and tracked objects a stored record adds beyond its values
-    (built before counting): a value tuple and four slots, 114 B for
-    ``deliver`` and 106 B for ``atom_pass``, where keeping the call site's
-    kwargs dict instead came to 218 B for either."""
+    (built before counting): a slot in each of its table's columns and a
+    byte of record order, 53 B for ``deliver`` and 44 B for ``atom_pass``,
+    where a value tuple and four slots came to 114 B and 106 B, and
+    keeping the call site's kwargs dict to 218 B for either."""
     n = 20_000
     rows = [row(i) for i in range(n)]
     trace = Trace()
-    record_all(trace, shape, rows[:100])  # the index's first array, the shape's view
+    record_all(trace, shape, rows[:100])  # the shape's table and its appender
     before = tracked()
     tracemalloc.start()
     try:
@@ -146,8 +147,40 @@ def test_a_record_retains_its_values_and_slots_only(shape, row):
         grown = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert grown / (n - 100) <= 130
+    assert grown / (n - 100) <= 64
     assert tracked() - before <= 16
+
+
+@pytest.mark.parametrize("maxlen", [1, 2, 1000])
+def test_a_full_ring_grows_by_no_byte_per_record(maxlen):
+    """A ring at its bound, fed records of two shapes in turn (so every
+    eviction crosses tables), stores each new record in room its evictions
+    freed: 10 000 more records and 30 000 more leave its traced memory at
+    the same few bytes over where it was.  The values are built first."""
+    rows = [
+        (DELIVER, (i % 32, 1000 + i, i % 8, i % 31, i / 7))
+        if i % 2
+        else (ATOM_PASS, (1000 + i, i % 50, f"Q({i % 9},{i % 13})", i % 4 + 1))
+        for i in range(1000)
+    ]
+
+    def feed(records: int) -> int:
+        record = trace.record
+        for i in range(records):
+            shape, values = rows[i % 1000]
+            record(1.5, shape, *values)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        trace = Trace(maxlen=maxlen)
+        before = feed(5000)
+        after = [feed(10_000) - before, feed(20_000) - before]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == maxlen
+    assert after[0] == after[1] <= 64, after
 
 
 def test_the_protocol_records_against_its_declared_shapes(monkeypatch):
@@ -167,9 +200,11 @@ def test_the_protocol_records_against_its_declared_shapes(monkeypatch):
     trace = fabric.trace
     declared = {shape.kind: shape for shape in PROTOCOL_SHAPES}
     stored = set()
-    for shape, values in zip(trace._shapes, trace._values):
+    for table in trace._tables:
+        shape = table.shape
         if shape.kind in declared:
-            assert shape is declared[shape.kind] and len(values) == len(shape.keys)
+            assert shape is declared[shape.kind] and len(table.columns) == len(shape.keys)
+            assert all(len(column) == len(table.times) for column in table.columns)
             stored.add(shape.kind)
     assert stored == declared.keys()
     assert keyword_shapes.keys().isdisjoint(declared)

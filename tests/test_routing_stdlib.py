@@ -158,3 +158,25 @@ def test_paper_scale_seed_0():
     routers = sorted({host.router for host in env.hosts})
     assert len(routers) > 64
     assert_same_rows(env.topology, routers)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_delays_to_reads_the_row_entries(seed):
+    """The central sequencer's reads: from each host router to every host
+    router (and to a few routers more, in random order), ``delays_to``
+    equals the entries of ``delays_from``'s row bit for bit, on a tree
+    grown only as far as they needed and agreeing with the full tree on
+    every router it holds."""
+    env = ExperimentEnv(n_hosts=32, seed=seed)
+    routers = sorted({host.router for host in env.hosts})
+    rng = random.Random(seed)
+    targets = routers + rng.sample(range(env.topology.n_nodes), 8)
+    rng.shuffle(targets)
+    table, rows = RoutingTable(env.topology), RoutingTable(env.topology)
+    for candidate in routers:
+        row = rows.delays_from(candidate)
+        got = table.delays_to(candidate, targets)
+        assert array("d", got).tobytes() == array("d", [row[t] for t in targets]).tobytes()
+        grown, full = table._trees[candidate], rows._trees[candidate]
+        assert all(p < 0 or p == q for p, q in zip(grown, full)), candidate
+    assert table._trees.keys() == rows._trees.keys()

@@ -6,7 +6,11 @@ ring mode).  Random programs of records, queries, clears and subscriber
 changes run on both, unbounded and as rings of 1–5 records; after every
 step the two must be indistinguishable to a reader.  Records come in both
 spellings: by keyword, and positionally against a declared ``Shape``,
-whose fields the reference receives by keyword.
+whose fields the reference receives by keyword.  Kinds interleave, some
+with two shapes each, so a ring evicts across the trace's tables, and
+times come as ``int`` and ``float``.  A positional record with the wrong
+number of values must raise and be counted only, as the reference counts
+a record made while it is disabled.
 """
 
 from collections import deque
@@ -92,11 +96,13 @@ KEYS = ("msg", "host", "group", "blocked_on")
 SHAPES = (
     PUBLISH,
     Shape("deliver", ("host", "msg")),
+    Shape("deliver", ("msg", "group", "sender")),
     Shape("buffer", ("blocked_on", "msg", "group", "host", "expected_seq")),
     Shape("atom_pass", ()),
 )
 values = st.one_of(
     st.none(),
+    st.booleans(),
     st.integers(-2, 3),
     st.sampled_from([0.5, 1.0, -0.0, 2.25]),
     st.sampled_from(["", "Q(0,1)", "a"]),
@@ -110,6 +116,15 @@ positional = st.sampled_from(SHAPES).flatmap(
         times, st.just(shape), st.tuples(*[values] * len(shape.keys))
     )
 )
+wrong_arity = st.sampled_from(SHAPES).flatmap(
+    lambda shape: st.tuples(
+        times,
+        st.just(shape),
+        st.lists(values, max_size=6)
+        .filter(lambda row: len(row) != len(shape.keys))
+        .map(tuple),
+    )
+)
 queried_kinds = st.one_of(st.none(), kinds, st.just("missing"), st.sampled_from(SHAPES))
 filters = st.dictionaries(st.sampled_from(KEYS + ("sender",)), values, max_size=2)
 subscribers = st.integers(0, 2)
@@ -119,6 +134,7 @@ operations = st.one_of(
         st.just("record"),
         st.lists(st.one_of(by_keyword, positional), min_size=1, max_size=8),
     ),
+    st.tuples(st.just("wrong_arity"), wrong_arity),
     st.tuples(st.just("select"), queried_kinds, filters),
     st.tuples(st.just("iter_select"), queried_kinds, filters),
     st.tuples(st.just("iter")),
@@ -132,10 +148,14 @@ operations = st.one_of(
 
 def exact(records: Any) -> List[Any]:
     """Field for field, with the time's type (an ``int`` time stays ``int``),
-    the kind a plain ``str`` and the data's key order (all reach the export
-    bytes)."""
+    the kind a plain ``str``, the data's key order and each value's type and
+    ``repr`` (a ``bool`` stays a ``bool``, ``-0.0`` stays ``-0.0``; all reach
+    the export bytes)."""
     return [
-        (type(r), type(r.time), r.time, type(r.kind), r.kind, list(r.data.items()))
+        (
+            type(r), type(r.time), r.time, type(r.kind), r.kind,
+            [(k, type(v), repr(v)) for k, v in r.data.items()],
+        )
         for r in records
     ]
 
@@ -159,6 +179,18 @@ class Side:
                     trace.record(time, kind.kind, **dict(zip(kind.keys, data)))
                 else:
                     trace.record(time, kind, *data)
+            return None
+        if name == "wrong_arity":
+            time, shape, row = args[0]
+            if isinstance(trace, ListTrace):
+                enabled, trace.enabled = trace.enabled, False
+                trace.record(time, shape.kind)
+                trace.enabled = enabled
+            elif trace.enabled:
+                with pytest.raises(ValueError):
+                    trace.record(time, shape, *row)
+            else:
+                trace.record(time, shape, *row)
             return None
         if name == "select":
             return exact(trace.select(args[0], **args[1]))
@@ -222,8 +254,9 @@ def test_shapes_are_interned_and_equal_to_their_kind():
     trace.record(3.0, "deliver", msg=3)
     assert [r.data["msg"] for r in trace.select("deliver")] == [1, 2, 3]
     assert trace.count("deliver") == trace.count(DELIVER) == 3
-    assert trace._shapes[0] is trace._shapes[1] is DELIVER
-    assert trace._shapes[2] is other
+    shapes = [trace._tables[index].shape for index in trace._order]
+    assert shapes[0] is shapes[1] is DELIVER
+    assert shapes[2] is other
 
 
 def test_the_two_spellings_do_not_mix():
@@ -235,3 +268,19 @@ def test_the_two_spellings_do_not_mix():
     with pytest.raises(TypeError):
         trace.record(1.0, PUBLISH, msg=1, group=2, sender=3)
     assert len(trace) == 0
+
+
+@pytest.mark.parametrize("maxlen", [None, 300])
+def test_more_shapes_than_a_byte_of_record_order_holds(maxlen):
+    """The 257th table widens the record order past one byte a record;
+    every record still reads back in order, by kind and in a ring."""
+    trace = Trace(maxlen=maxlen)
+    reference = ListTrace(maxlen=maxlen)
+    for i in range(600):
+        kind = f"k{i % 300}"
+        fields = {f"f{i % 7}": i} if i % 2 else {"g": float(i)}
+        trace.record(i, kind, **fields)
+        reference.record(i, kind, **fields)
+    assert exact(trace) == exact(reference)
+    assert exact(trace.select("k299")) == exact(reference.select("k299"))
+    assert exact(trace.select(f7=None)) == exact(reference.select(f7=None))
