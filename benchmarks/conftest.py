@@ -1,17 +1,17 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one paper figure (or an ablation) and
-
-* asserts the paper's qualitative shape (who wins, where curves turn),
-* writes the rendered table to ``benchmarks/results/<name>.txt``,
-* attaches headline numbers to pytest-benchmark's ``extra_info``.
+``test_bench_tables.py`` regenerates every table of
+:data:`repro.experiments.tables.TABLES`: it saves the rendered table to
+``benchmarks/results/<file>.txt`` and asserts the table's claims (the
+paper's qualitative shape: who wins, where curves turn).
 
 Set ``REPRO_PAPER_SCALE=1`` to run on the full 10,000-router topology and
-``REPRO_BENCH_RUNS`` to override repetition counts (the paper uses 100
-runs for Figures 5/6).  Both knobs are recorded into every saved result
-— a header line in the ``.txt`` table and ``extra_info`` keys in the
-pytest-benchmark JSON — so two result files are never compared without
-knowing the scale they ran at.
+``REPRO_BENCH_RUNS`` to set the repetition count each table derives its
+own from (default 30; the paper uses 100 runs for Figures 5/6).  Both
+knobs are recorded into every saved result — a header line in the
+``.txt`` table and ``extra_info`` keys in the pytest-benchmark JSON — so
+two result files are never compared without knowing the scale they ran
+at.
 """
 
 import os
@@ -19,26 +19,23 @@ import pathlib
 
 import pytest
 
-from repro.experiments.common import ExperimentEnv
+# the claims are plain asserts in src/; rewrite them so a failure shows
+# the values compared
+pytest.register_assert_rewrite("repro.experiments.tables")
+
+from repro.experiments.common import ExperimentEnv  # noqa: E402
+from repro.experiments.tables import DEFAULT_RUNS  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 
-def bench_runs(default: int = 30) -> int:
-    """Repetitions for the statistical sweeps (paper: 100)."""
-    return int(os.environ.get("REPRO_BENCH_RUNS", default))
+def bench_runs() -> int:
+    """The repetition count every table derives its own from."""
+    return int(os.environ.get("REPRO_BENCH_RUNS", DEFAULT_RUNS))
 
 
 def paper_scale() -> bool:
     return os.environ.get("REPRO_PAPER_SCALE", "") == "1"
-
-
-def _config_header() -> str:
-    """One-line record of the environment knobs a result ran under."""
-    return (
-        f"# config: REPRO_BENCH_RUNS={bench_runs()} "
-        f"REPRO_PAPER_SCALE={'1' if paper_scale() else '0'}"
-    )
 
 
 @pytest.fixture(autouse=True)
@@ -60,20 +57,3 @@ def record_bench_config(request):
 def env128():
     """The paper's subscriber population over the shared topology."""
     return ExperimentEnv(n_hosts=128, seed=0, paper_scale=paper_scale())
-
-
-@pytest.fixture(scope="session")
-def save_result():
-    """Writer for rendered figure tables (one .txt per benchmark).
-
-    Every file starts with the config header naming the repetition count
-    and scale it was produced under.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _save(name: str, text: str) -> None:
-        (RESULTS_DIR / f"{name}.txt").write_text(
-            _config_header() + "\n" + text + "\n"
-        )
-
-    return _save

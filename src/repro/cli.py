@@ -5,7 +5,8 @@ Subcommands::
     repro demo [--backend asyncio]   # tiny end-to-end ordering demo
     repro serve [--port 7400]        # live asyncio TCP service façade
     repro serve --self-test          # scripted live round trip + C1/C2
-    repro figures --figures 3 5      # reproduce paper figures (see runner)
+    repro figures --figures 3 5 a9   # reproduce the evaluation's tables:
+                                     # Figures 3-8, ablations A1-A9 (see runner)
     repro analyze --hosts 64 --groups 16 [--dot out.dot]
                                      # build a Zipf workload and report the
                                      # sequencing graph / placement
@@ -682,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     figures = sub.add_parser(
-        "figures", help="reproduce paper figures (args passed through)"
+        "figures", help="reproduce the evaluation's tables (args passed through)"
     )
     figures.add_argument("rest", nargs=argparse.REMAINDER)
     figures.set_defaults(func=_cmd_figures)

@@ -67,12 +67,5 @@ def render(results: Dict[int, List[float]]) -> str:
     )
 
 
-def main(paper_scale: bool = False) -> str:
-    env = ExperimentEnv(n_hosts=128, paper_scale=paper_scale)
-    output = render(run_fig3(env))
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+def plot(results: Dict[int, List[float]]):
+    return "cdf", "Figure 3: latency stretch CDF", results

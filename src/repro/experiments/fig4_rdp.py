@@ -67,12 +67,5 @@ def render(points: List[Tuple[float, float]]) -> str:
     )
 
 
-def main(paper_scale: bool = False) -> str:
-    env = ExperimentEnv(n_hosts=128, paper_scale=paper_scale)
-    output = render(run_fig4(env))
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+def plot(points: List[Tuple[float, float]]):
+    return "xy", "Figure 4: RDP vs unicast delay", {"rdp": points}

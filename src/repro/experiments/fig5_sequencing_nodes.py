@@ -64,12 +64,6 @@ def render(results: Dict[int, List[int]]) -> str:
     )
 
 
-def main(runs: int = 100) -> str:
-    env = ExperimentEnv(n_hosts=128)
-    output = render(run_fig5(env, runs=runs))
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+def plot(results: Dict[int, List[int]]):
+    series = {"nodes": [(g, sum(v) / len(v)) for g, v in sorted(results.items())]}
+    return "xy", "Figure 5: sequencing nodes vs groups", series

@@ -65,12 +65,8 @@ def render(results: Dict[int, List[float]]) -> str:
     )
 
 
-def main(runs: int = 100) -> str:
-    env = ExperimentEnv(n_hosts=128)
-    output = render(run_fig6(env, runs=runs))
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+def plot(results: Dict[int, List[float]]):
+    series = {
+        "avg_stress": [(g, sum(v) / len(v)) for g, v in sorted(results.items()) if v]
+    }
+    return "xy", "Figure 6: stress vs groups", series

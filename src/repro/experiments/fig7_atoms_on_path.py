@@ -67,12 +67,5 @@ def render(results: Dict[int, List[float]]) -> str:
     )
 
 
-def main(runs: int = 20) -> str:
-    env = ExperimentEnv(n_hosts=128)
-    output = render(run_fig7(env, runs=runs))
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+def plot(results: Dict[int, List[float]]):
+    return "cdf", "Figure 7: atoms-on-path ratio CDF", results

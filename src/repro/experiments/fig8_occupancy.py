@@ -65,12 +65,9 @@ def render(results: Dict[float, Tuple[float, float]]) -> str:
     )
 
 
-def main(runs: int = 10) -> str:
-    env = ExperimentEnv(n_hosts=128)
-    output = render(run_fig8(env, runs=runs))
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+def plot(results: Dict[float, Tuple[float, float]]):
+    series = {
+        "double_overlaps": [(occ, results[occ][0]) for occ in sorted(results)],
+        "sequencing_nodes": [(occ, results[occ][1]) for occ in sorted(results)],
+    }
+    return "xy", "Figure 8: overlaps & nodes vs occupancy", series

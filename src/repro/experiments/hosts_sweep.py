@@ -82,12 +82,3 @@ def render(results: Dict[int, Dict[str, float]]) -> str:
         headers, rows, title="Host sweep (fixed 16 Zipf groups, paper §4.1 range)"
     )
 
-
-def main(runs: int = 10) -> str:
-    output = render(run_hosts_sweep(runs=runs))
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -1,33 +1,29 @@
-"""Run all (or selected) figure reproductions from the command line.
+"""Run all (or selected) tables of the evaluation from the command line.
 
-Usage::
+Usage (``repro figures`` takes the same options)::
 
-    python -m repro.experiments.runner                 # all figures, quick
-    python -m repro.experiments.runner --figures 3 5   # a subset
-    python -m repro.experiments.runner --runs 100      # paper repetitions
-    python -m repro.experiments.runner --paper-scale   # 10,000-router topology
-    python -m repro.experiments.runner --csv-dir out/  # export raw series
-    python -m repro.experiments.runner --ascii         # terminal plots
+    repro figures                      # every table, default scale
+    repro figures --figures 3 5 a9     # a subset, by registry name
+    repro figures --runs 100           # paper repetitions
+    repro figures --paper-scale        # 10,000-router topology
+    repro figures --csv-dir out/       # export the figures' raw series
+    repro figures --ascii              # terminal plots
 
-Quick mode (default) uses a few-hundred-router topology and fewer
-repetitions; ``--paper-scale``/``--runs`` restore the paper's parameters.
+The names are :data:`repro.experiments.tables.TABLES`'s: ``3``…``8`` for
+Figures 3–8 and ``a1``…``a9`` (and ``a3b``) for the ablations.  At the
+defaults each table prints the body of its ``benchmarks/results`` file.
 """
 
 import argparse
 from typing import List, Optional
 
-from repro.experiments import fig3_latency_stretch as fig3
-from repro.experiments import fig4_rdp as fig4
-from repro.experiments import fig5_sequencing_nodes as fig5
-from repro.experiments import fig6_stress as fig6
-from repro.experiments import fig7_atoms_on_path as fig7
-from repro.experiments import fig8_occupancy as fig8
 from repro.experiments import export
 from repro.experiments.common import ExperimentEnv
+from repro.experiments.tables import DEFAULT_RUNS, TABLES
 
 
 def run_selected(
-    figures: List[int],
+    names: List[str],
     runs: int,
     paper_scale: bool,
     n_hosts: int = 128,
@@ -35,12 +31,12 @@ def run_selected(
     ascii_plots: bool = False,
     metrics_out: Optional[str] = None,
 ) -> str:
-    """Run the requested figures, returning the combined report text.
+    """Run the named tables in registry order, returning the report text.
 
-    ``metrics_out`` attaches a metrics registry to every fabric the figure
-    modules build and writes a Prometheus-style text dump there afterwards
-    (counters accumulate across fabrics; same-label gauges reflect the last
-    fabric collected).
+    ``metrics_out`` attaches a metrics registry to every fabric the tables
+    build through the environment and writes a Prometheus-style text dump
+    there afterwards (counters accumulate across fabrics; same-label
+    gauges reflect the last fabric collected).
     """
     env = ExperimentEnv(n_hosts=n_hosts, paper_scale=paper_scale)
     if metrics_out:
@@ -48,76 +44,25 @@ def run_selected(
 
         env.registry = MetricsRegistry()
     sections: List[str] = []
-
-    def emit(table: str, plot: Optional[str]) -> None:
-        sections.append(table)
-        if ascii_plots and plot:
-            sections.append(plot)
-
-    if 3 in figures:
-        results = fig3.run_fig3(env)
-        plot = export.ascii_cdf(
-            {f"{g} groups": v for g, v in results.items()},
-            title="Figure 3: latency stretch CDF",
-        )
-        emit(fig3.render(results), plot)
-        if csv_dir:
-            export.export_figure("fig3", csv_dir, samples=results)
-    if 4 in figures:
-        points = fig4.run_fig4(env)
-        plot = export.ascii_xy(
-            {"rdp": points}, title="Figure 4: RDP vs unicast delay"
-        )
-        emit(fig4.render(points), plot)
-        if csv_dir:
-            export.export_figure("fig4", csv_dir, xy={"rdp": points})
-    if 5 in figures:
-        results = fig5.run_fig5(env, runs=runs)
-        series = {
-            "nodes": [
-                (g, sum(v) / len(v)) for g, v in sorted(results.items())
-            ]
-        }
-        emit(
-            fig5.render(results),
-            export.ascii_xy(series, title="Figure 5: sequencing nodes vs groups"),
-        )
-        if csv_dir:
-            export.export_figure("fig5", csv_dir, xy=series)
-    if 6 in figures:
-        results = fig6.run_fig6(env, runs=runs)
-        series = {
-            "avg_stress": [
-                (g, sum(v) / len(v)) for g, v in sorted(results.items()) if v
-            ]
-        }
-        emit(
-            fig6.render(results),
-            export.ascii_xy(series, title="Figure 6: stress vs groups"),
-        )
-        if csv_dir:
-            export.export_figure("fig6", csv_dir, xy=series)
-    if 7 in figures:
-        results = fig7.run_fig7(env, runs=max(1, runs // 5))
-        plot = export.ascii_cdf(
-            {f"{g} groups": v for g, v in results.items()},
-            title="Figure 7: atoms-on-path ratio CDF",
-        )
-        emit(fig7.render(results), plot)
-        if csv_dir:
-            export.export_figure("fig7", csv_dir, samples=results)
-    if 8 in figures:
-        results = fig8.run_fig8(env, runs=max(1, runs // 10))
-        series = {
-            "double_overlaps": [(occ, results[occ][0]) for occ in sorted(results)],
-            "sequencing_nodes": [(occ, results[occ][1]) for occ in sorted(results)],
-        }
-        emit(
-            fig8.render(results),
-            export.ascii_xy(series, title="Figure 8: overlaps & nodes vs occupancy"),
-        )
-        if csv_dir:
-            export.export_figure("fig8", csv_dir, xy=series)
+    for table in TABLES.values():
+        if table.name not in names:
+            continue
+        results = table.run(env, runs)
+        sections.append(table.render(results))
+        if table.plot is None:
+            continue
+        kind, title, series = table.plot(results)
+        if kind == "cdf":
+            if ascii_plots:
+                labelled = {f"{g} groups": v for g, v in series.items()}
+                sections.append(export.ascii_cdf(labelled, title=title))
+            if csv_dir:
+                export.export_figure(f"fig{table.name}", csv_dir, samples=series)
+        else:
+            if ascii_plots:
+                sections.append(export.ascii_xy(series, title=title))
+            if csv_dir:
+                export.export_figure(f"fig{table.name}", csv_dir, xy=series)
     if metrics_out:
         from repro.obs.exporters import write_prometheus
 
@@ -130,13 +75,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--figures",
-        type=int,
         nargs="+",
-        default=[3, 4, 5, 6, 7, 8],
-        help="figure numbers to reproduce (default: all)",
+        choices=list(TABLES),
+        default=list(TABLES),
+        metavar="NAME",
+        help=f"tables to reproduce: {' '.join(TABLES)} (default: all)",
     )
     parser.add_argument(
-        "--runs", type=int, default=20, help="repetitions for figs 5/6 (paper: 100)"
+        "--runs",
+        type=int,
+        default=DEFAULT_RUNS,
+        help="repetitions, from which each table derives its own (paper: 100)",
     )
     parser.add_argument(
         "--paper-scale",
@@ -168,7 +117,3 @@ def main(argv=None) -> int:
         )
     )
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -104,7 +104,7 @@ def test_fig8_overlaps_monotone_in_occupancy(env):
 
 
 def test_runner_subset(env):
-    report = run_selected([5, 7], runs=2, paper_scale=False, n_hosts=16)
+    report = run_selected(["5", "7"], runs=2, paper_scale=False, n_hosts=16)
     assert "Figure 5" in report
     assert "Figure 7" in report
     assert "Figure 3" not in report

@@ -249,7 +249,7 @@ class TestCli:
     def test_runner_metrics_out(self, tmp_path):
         metrics = tmp_path / "figs.prom"
         report = run_selected(
-            [3], runs=1, paper_scale=False, n_hosts=16, metrics_out=str(metrics)
+            ["3"], runs=1, paper_scale=False, n_hosts=16, metrics_out=str(metrics)
         )
         assert "metrics written" in report
         text = metrics.read_text()

@@ -15,7 +15,7 @@ from repro.pubsub.membership import GroupMembership
 
 def test_runner_exports_all_figures(tmp_path):
     report = run_selected(
-        [3, 4, 5, 6, 7, 8],
+        ["3", "4", "5", "6", "7", "8"],
         runs=2,
         paper_scale=False,
         n_hosts=16,
@@ -38,7 +38,7 @@ def test_runner_exports_all_figures(tmp_path):
 
 
 def test_runner_csv_contents(tmp_path):
-    run_selected([5], runs=2, paper_scale=False, n_hosts=16, csv_dir=str(tmp_path))
+    run_selected(["5"], runs=2, paper_scale=False, n_hosts=16, csv_dir=str(tmp_path))
     lines = (tmp_path / "fig5_xy.csv").read_text().splitlines()
     assert lines[0] == "series,x,y"
     assert len(lines) > 3
